@@ -44,8 +44,6 @@ pub use policy::{
     SchedAction, SchedPolicyKind, TiresiasPolicy,
 };
 
-use std::collections::VecDeque;
-
 use flowcon_core::config::NodeConfig;
 use flowcon_dl::ModelId;
 use flowcon_metrics::sojourn::{Percentiles, SojournStats};
@@ -172,6 +170,61 @@ struct EngineJob {
     queued_since: SimTime,
 }
 
+/// Where a job is, indexed by its gid.  The `Queued` index is what makes
+/// a `Place` O(1): no queue scan to find the job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JobState {
+    /// Not yet admitted.
+    Pending,
+    /// Live entry at this index of the admission queue.
+    Queued(usize),
+    /// Running on this node.
+    Running(usize),
+    /// Completed.
+    Done,
+}
+
+/// Panic for an action the engine cannot apply: a broken policy must
+/// fail loudly, naming itself, the action and the barrier.
+fn reject(policy: &str, t: SimTime, action: SchedAction, why: impl std::fmt::Display) -> ! {
+    panic!(
+        "policy '{policy}' emitted {action:?} at barrier t={}s: {why}",
+        t.as_secs_f64()
+    )
+}
+
+/// Where `job` is, for a rejection message.
+fn whereabouts(state: &[JobState], job: u32) -> String {
+    match state.get(job as usize) {
+        None => format!("job {job} does not exist"),
+        Some(JobState::Pending) => format!("job {job} has not arrived"),
+        Some(JobState::Queued(_)) => format!("job {job} is queued"),
+        Some(JobState::Running(node)) => format!("job {job} is running on node {node}"),
+        Some(JobState::Done) => format!("job {job} has finished"),
+    }
+}
+
+/// Reject `action` unless `node` exists and has a free slot — checked
+/// before [`NodeSim::admit`] so the failure names the culprit.
+fn check_free_slot<T: Tracer>(
+    nodes: &[NodeSim<T>],
+    node: usize,
+    policy: &str,
+    t: SimTime,
+    action: SchedAction,
+) {
+    match nodes.get(node) {
+        None => reject(policy, t, action, format_args!("there is no node {node}")),
+        Some(n) if n.is_full() => reject(
+            policy,
+            t,
+            action,
+            format_args!("node {node} is full ({} slots)", n.slot_count()),
+        ),
+        Some(_) => {}
+    }
+}
+
 /// Run the scheduling engine to completion over a materialized arrival
 /// list (already sorted by arrival time).
 ///
@@ -210,9 +263,11 @@ pub(crate) fn run_sched<T: Tracer + Send>(
         })
         .collect();
 
-    let mut queue: VecDeque<EngineJob> = VecDeque::new();
-    // gid → node currently running the job (None: queued or done).
-    let mut location: Vec<Option<usize>> = vec![None; arrivals.len()];
+    // The admission queue in FIFO order.  A `Place` leaves a tombstone
+    // (an entry whose gid no longer maps back to its index); the round's
+    // single compaction pass drops them without reordering the survivors.
+    let mut queue: Vec<EngineJob> = Vec::new();
+    let mut state: Vec<JobState> = vec![JobState::Pending; arrivals.len()];
     let mut next_arrival = 0usize;
 
     let mut decisions: Vec<Decision> = Vec::new();
@@ -234,7 +289,8 @@ pub(crate) fn run_sched<T: Tracer + Send>(
         // 1. Admit arrivals up to the barrier.
         while next_arrival < arrivals.len() && arrivals[next_arrival].arrival <= t {
             let a = arrivals[next_arrival];
-            queue.push_back(EngineJob {
+            state[next_arrival] = JobState::Queued(queue.len());
+            queue.push(EngineJob {
                 id: next_arrival as u32,
                 model: a.model,
                 arrival: a.arrival,
@@ -294,19 +350,21 @@ pub(crate) fn run_sched<T: Tracer + Send>(
             );
         }
 
+        let mut tombstones = 0usize;
         for &action in &actions {
             decisions.push(Decision { at: t, action });
             match action {
                 SchedAction::Place { job, node } => {
-                    let pos = queue
-                        .iter()
-                        .position(|j| j.id == job)
-                        .expect("Place must target a queued job");
-                    let j = queue.remove(pos).expect("position found above");
+                    let Some(JobState::Queued(pos)) = state.get(job as usize).copied() else {
+                        reject(policy.name(), t, action, whereabouts(&state, job))
+                    };
+                    check_free_slot(&nodes, node, policy.name(), t, action);
+                    let j = queue[pos];
+                    tombstones += 1;
                     let wait = t.saturating_since(j.queued_since).as_secs_f64();
                     total_queue_wait_secs += wait;
                     tails.queue_wait.insert(wait);
-                    location[j.id as usize] = Some(node);
+                    state[j.id as usize] = JobState::Running(node);
                     nodes[node].admit(j.id, j.model, j.work_scale, j.arrival, j.attained);
                     if T::ENABLED {
                         tracer.instant(t, TraceKind::SchedPlace, job, node as u32);
@@ -314,12 +372,13 @@ pub(crate) fn run_sched<T: Tracer + Send>(
                     }
                 }
                 SchedAction::Preempt { job } => {
-                    let at = location[job as usize]
-                        .take()
-                        .expect("Preempt must target a running job");
+                    let Some(JobState::Running(at)) = state.get(job as usize).copied() else {
+                        reject(policy.name(), t, action, whereabouts(&state, job))
+                    };
                     let p = nodes[at].preempt(job);
                     preemptions += 1;
-                    queue.push_back(EngineJob {
+                    state[job as usize] = JobState::Queued(queue.len());
+                    queue.push(EngineJob {
                         id: job,
                         model: p.model,
                         arrival: p.arrival,
@@ -333,10 +392,13 @@ pub(crate) fn run_sched<T: Tracer + Send>(
                     }
                 }
                 SchedAction::Migrate { job, node } => {
-                    let at = location[job as usize].expect("Migrate must target a running job");
+                    let Some(JobState::Running(at)) = state.get(job as usize).copied() else {
+                        reject(policy.name(), t, action, whereabouts(&state, job))
+                    };
                     if at == node {
                         continue; // logged no-op
                     }
+                    check_free_slot(&nodes, node, policy.name(), t, action);
                     let p = nodes[at].preempt(job);
                     nodes[node].admit(
                         job,
@@ -345,7 +407,7 @@ pub(crate) fn run_sched<T: Tracer + Send>(
                         p.arrival,
                         p.attained_cpu_secs,
                     );
-                    location[job as usize] = Some(node);
+                    state[job as usize] = JobState::Running(node);
                     migrations += 1;
                     if T::ENABLED {
                         tracer.instant(t, TraceKind::SchedMigrate, job, node as u32);
@@ -354,6 +416,23 @@ pub(crate) fn run_sched<T: Tracer + Send>(
                     }
                 }
             }
+        }
+        if tombstones > 0 {
+            // One stable pass: an entry is live iff its gid still maps to
+            // its index.  Survivors keep their relative order (admission
+            // and preemption append, nothing else reorders), so the next
+            // round's `ClusterView::queue` is the same FIFO a queue with
+            // in-place removal would hold.
+            let (mut seen, mut kept) = (0, 0);
+            queue.retain(|j| {
+                let live = state[j.id as usize] == JobState::Queued(seen);
+                seen += 1;
+                if live {
+                    state[j.id as usize] = JobState::Queued(kept);
+                    kept += 1;
+                }
+                live
+            });
         }
         queue_job_secs += queue.len() as f64 * quantum.as_secs_f64();
         if T::ENABLED {
@@ -386,7 +465,7 @@ pub(crate) fn run_sched<T: Tracer + Send>(
                 tracer.absorb(&mut node.tracer);
             }
             for c in node.completions.drain(..) {
-                location[c.gid as usize] = None;
+                state[c.gid as usize] = JobState::Done;
                 tails
                     .sojourn
                     .insert(c.finished.saturating_since(c.arrival).as_secs_f64());
@@ -547,6 +626,91 @@ mod tests {
             out.decisions[0].at <= SimTime::from_secs(86_410),
             "placement barrier drifted: {:?}",
             out.decisions[0].at
+        );
+    }
+
+    /// A discipline that emits whatever its function says — for driving
+    /// the engine into the failures it must reject loudly.
+    struct Scripted(&'static str, fn(&ClusterView<'_>, &mut Vec<SchedAction>));
+
+    impl ClusterPolicy for Scripted {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+
+        fn schedule(&mut self, view: &ClusterView<'_>, actions: &mut Vec<SchedAction>) {
+            (self.1)(view, actions)
+        }
+    }
+
+    /// Two jobs arriving at t=0 on one node with `slots` slots.
+    fn run_scripted(slots: usize, policy: Scripted) -> SchedOutcome {
+        let job = ArrivalSpec {
+            model: ModelId::MnistTorch,
+            arrival: SimTime::ZERO,
+            work_scale: 0.05,
+        };
+        run_sched(
+            &[NodeConfig::default()],
+            PolicyKind::Baseline,
+            Box::new(policy),
+            SchedConfig {
+                slots_per_node: slots,
+                ..SchedConfig::default()
+            },
+            vec![job; 2],
+            &mut flowcon_sim::trace::NoopTracer,
+        )
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "policy 'double-place' emitted Place { job: 0, node: 0 } at barrier t=0s: \
+                    job 0 is running on node 0"
+    )]
+    fn placing_a_job_twice_in_one_round_names_the_policy_job_and_barrier() {
+        run_scripted(
+            2,
+            Scripted("double-place", |view, actions| {
+                let job = view.queue[0].id;
+                actions.push(SchedAction::Place { job, node: 0 });
+                actions.push(SchedAction::Place { job, node: 0 });
+            }),
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "policy 'overfill' emitted Place { job: 1, node: 0 } at barrier t=0s: \
+                    node 0 is full (1 slots)"
+    )]
+    fn placing_onto_a_full_node_names_the_node() {
+        run_scripted(
+            1,
+            Scripted("overfill", |view, actions| {
+                for job in view.queue {
+                    actions.push(SchedAction::Place {
+                        job: job.id,
+                        node: 0,
+                    });
+                }
+            }),
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "policy 'preempt-queued' emitted Preempt { job: 0 } at barrier t=0s: \
+                    job 0 is queued"
+    )]
+    fn preempting_a_queued_job_names_the_policy_job_and_barrier() {
+        run_scripted(
+            2,
+            Scripted("preempt-queued", |view, actions| {
+                actions.push(SchedAction::Preempt {
+                    job: view.queue[0].id,
+                });
+            }),
         );
     }
 }

@@ -193,6 +193,10 @@ impl<T: Tracer> NodeSim<T> {
         self.live == 0
     }
 
+    pub(crate) fn is_full(&self) -> bool {
+        self.live == self.slots.len()
+    }
+
     /// Append one [`RunningJobView`] per occupied slot, in slot order.
     pub(crate) fn fill_views(&self, out: &mut Vec<RunningJobView>) {
         for slot in self.slots.iter().flatten() {
@@ -209,7 +213,8 @@ impl<T: Tracer> NodeSim<T> {
     /// `work_scale` is relative to the catalog spec (1.0 for a fresh
     /// job, the remaining fraction for a resumed one); `base_attained`
     /// carries service from earlier placements.  Panics if the node is
-    /// full — the engine validates placements before applying them.
+    /// full; the engine rejects a `Place` or `Migrate` onto a full node
+    /// first, with a message naming the policy, node and barrier.
     pub(crate) fn admit(
         &mut self,
         gid: u32,

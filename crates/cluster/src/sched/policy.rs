@@ -225,20 +225,82 @@ impl SchedPolicyKind {
     }
 }
 
-/// Index of the node with the most free slots (ties break toward the
-/// lowest index, so decision logs are stable).
-fn most_free(free: &[usize]) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (idx, &f) in free.iter().enumerate() {
-        if f == 0 {
-            continue;
+/// Tournament tree over per-node free-slot counts: answers "which node
+/// has the most free slots?" in O(1) and absorbs a count change in
+/// O(log N), so a round's placements cost O(A log N) instead of a full
+/// node scan per action.
+///
+/// The winner rule is the one decision logs depend on: most free slots
+/// wins, ties break toward the lowest node index.
+#[derive(Debug, Default)]
+struct FreeSlotTree {
+    /// Free slots per leaf; leaves past the node count stay at 0.
+    free: Vec<usize>,
+    /// `winner[k]` is the winning node of the subtree rooted at `k`
+    /// (heap layout: root at 1, leaf `i` at `leaves + i`).
+    winner: Vec<usize>,
+    leaves: usize,
+}
+
+impl FreeSlotTree {
+    /// Rebuild over `free` (one count per node) in O(N), reusing buffers.
+    fn build(&mut self, free: impl ExactSizeIterator<Item = usize>) {
+        self.leaves = free.len().next_power_of_two();
+        self.free.clear();
+        self.free.extend(free);
+        self.free.resize(self.leaves, 0);
+        self.winner.clear();
+        self.winner.resize(2 * self.leaves, 0);
+        for i in 0..self.leaves {
+            self.winner[self.leaves + i] = i;
         }
-        match best {
-            Some(b) if free[b] >= f => {}
-            _ => best = Some(idx),
+        for k in (1..self.leaves).rev() {
+            self.winner[k] = self.play(self.winner[2 * k], self.winner[2 * k + 1]);
         }
     }
-    best
+
+    /// `a` is the left (lower-index) contestant, so ties keep it.
+    fn play(&self, a: usize, b: usize) -> usize {
+        if self.free[b] > self.free[a] {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// The node with the most free slots, or `None` when every node is
+    /// full.
+    fn best(&self) -> Option<usize> {
+        let w = self.winner[1];
+        (self.free[w] > 0).then_some(w)
+    }
+
+    /// Free slots on `node`.
+    fn get(&self, node: usize) -> usize {
+        self.free[node]
+    }
+
+    /// Set `node`'s free-slot count and replay its path to the root.
+    fn set(&mut self, node: usize, free: usize) {
+        self.free[node] = free;
+        let mut k = (self.leaves + node) / 2;
+        while k >= 1 {
+            self.winner[k] = self.play(self.winner[2 * k], self.winner[2 * k + 1]);
+            k /= 2;
+        }
+    }
+
+    /// Take one slot on the freest node; `None` when the cluster is full.
+    fn take_best(&mut self) -> Option<usize> {
+        let node = self.best()?;
+        self.set(node, self.free[node] - 1);
+        Some(node)
+    }
+
+    /// Rebuild from `view`'s current occupancy.
+    fn build_from(&mut self, view: &ClusterView<'_>) {
+        self.build((0..view.node_count()).map(|n| view.free_slots(n)));
+    }
 }
 
 /// Arrival-order placement without preemption.
@@ -249,7 +311,7 @@ fn most_free(free: &[usize]) -> Option<usize> {
 /// the head-of-line behaviour the preemptive disciplines exist to beat.
 #[derive(Debug, Default)]
 pub struct FifoPolicy {
-    free: Vec<usize>,
+    free: FreeSlotTree,
 }
 
 impl FifoPolicy {
@@ -265,15 +327,12 @@ impl ClusterPolicy for FifoPolicy {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>, actions: &mut Vec<SchedAction>) {
-        self.free.clear();
-        self.free
-            .extend((0..view.node_count()).map(|n| view.free_slots(n)));
+        self.free.build_from(view);
         for job in view.queue {
-            let Some(node) = most_free(&self.free) else {
+            let Some(node) = self.free.take_best() else {
                 break;
             };
             actions.push(SchedAction::Place { job: job.id, node });
-            self.free[node] -= 1;
         }
     }
 }
@@ -291,9 +350,9 @@ impl ClusterPolicy for FifoPolicy {
 #[derive(Debug)]
 pub struct GandivaPolicy {
     slice: SimDuration,
-    free: Vec<usize>,
-    waiting: Vec<u32>,
-    victims: Vec<u32>,
+    free: FreeSlotTree,
+    /// Slice-expired running jobs as `(placed_at, id, node)`.
+    expired: Vec<(SimTime, u32, usize)>,
 }
 
 impl GandivaPolicy {
@@ -310,9 +369,8 @@ impl GandivaPolicy {
     pub fn with_slice(slice: SimDuration) -> Self {
         Self {
             slice,
-            free: Vec::new(),
-            waiting: Vec::new(),
-            victims: Vec::new(),
+            free: FreeSlotTree::default(),
+            expired: Vec::new(),
         }
     }
 }
@@ -329,47 +387,37 @@ impl ClusterPolicy for GandivaPolicy {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>, actions: &mut Vec<SchedAction>) {
-        self.free.clear();
-        self.free
-            .extend((0..view.node_count()).map(|n| view.free_slots(n)));
-        self.waiting.clear();
-        self.victims.clear();
-
-        // 1. Fill free slots in arrival order.
+        // 1. Fill free slots in arrival order.  Once the cluster is full
+        //    nothing frees up, so the rest of the queue waits.
+        self.free.build_from(view);
+        let mut placed = 0;
         for job in view.queue {
-            match most_free(&self.free) {
-                Some(node) => {
-                    actions.push(SchedAction::Place { job: job.id, node });
-                    self.free[node] -= 1;
-                }
-                None => self.waiting.push(job.id),
-            }
-        }
-
-        // 2. Rotate: each still-waiting job displaces the longest-held
-        //    running job whose slice has expired.
-        for &job in &self.waiting {
-            let mut victim: Option<(usize, RunningJobView)> = None;
-            for node in 0..view.node_count() {
-                for r in view.running_on(node) {
-                    if self.victims.contains(&r.id) {
-                        continue;
-                    }
-                    if view.now.saturating_since(r.placed_at) < self.slice {
-                        continue;
-                    }
-                    match victim {
-                        Some((_, v)) if (v.placed_at, v.id) <= (r.placed_at, r.id) => {}
-                        _ => victim = Some((node, *r)),
-                    }
-                }
-            }
-            let Some((node, v)) = victim else {
+            let Some(node) = self.free.take_best() else {
                 break;
             };
-            self.victims.push(v.id);
-            actions.push(SchedAction::Preempt { job: v.id });
-            actions.push(SchedAction::Place { job, node });
+            actions.push(SchedAction::Place { job: job.id, node });
+            placed += 1;
+        }
+        let waiting = &view.queue[placed..];
+
+        // 2. Rotate: each still-waiting job displaces the longest-held
+        //    running job whose slice has expired.  The view is fixed for
+        //    the round, so the victims are exactly the expired jobs in
+        //    ascending `(placed_at, id)` order, one per waiting job.
+        self.expired.clear();
+        if !waiting.is_empty() {
+            for node in 0..view.node_count() {
+                for r in view.running_on(node) {
+                    if view.now.saturating_since(r.placed_at) >= self.slice {
+                        self.expired.push((r.placed_at, r.id, node));
+                    }
+                }
+            }
+            self.expired.sort_unstable();
+        }
+        for (job, &(_, victim, node)) in waiting.iter().zip(&self.expired) {
+            actions.push(SchedAction::Preempt { job: victim });
+            actions.push(SchedAction::Place { job: job.id, node });
         }
 
         // 3. Balance: with no queue pressure, close ≥2-slot occupancy
@@ -420,8 +468,16 @@ enum JobLoc {
 #[derive(Debug, Default)]
 pub struct TiresiasPolicy {
     order: Vec<(f64, u32, JobLoc)>,
-    should_run: Vec<u32>,
-    free: Vec<usize>,
+    /// Running jobs outside the winning set, as `(attained, id, node)`.
+    losers: Vec<(f64, u32, usize)>,
+    free: FreeSlotTree,
+}
+
+/// The Tiresias rank: least attained service first, then the older job
+/// id.  A total order (ids are unique), so the winning set and emission
+/// order do not depend on the sort algorithm.
+fn rank<L>(a: &(f64, u32, L), b: &(f64, u32, L)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
 impl TiresiasPolicy {
@@ -448,35 +504,40 @@ impl ClusterPolicy for TiresiasPolicy {
                     .push((r.attained_cpu_secs, r.id, JobLoc::Running(node)));
             }
         }
-        self.order
-            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
+        // Partition the top `total_slots` jobs to the front in O(Q), then
+        // rank only the winners and the running losers (each at most
+        // `total_slots`) instead of the whole queue.
         let total = view.total_slots();
-        self.should_run.clear();
-        self.should_run
-            .extend(self.order.iter().take(total).map(|&(_, id, _)| id));
-        self.should_run.sort_unstable();
+        if self.order.len() > total {
+            self.order.select_nth_unstable_by(total, rank);
+        }
+        let cut = total.min(self.order.len());
+        let (winners, rest) = self.order.split_at_mut(cut);
+        winners.sort_unstable_by(rank);
+        self.losers.clear();
+        self.losers
+            .extend(rest.iter().filter_map(|&(attained, id, loc)| match loc {
+                JobLoc::Running(node) => Some((attained, id, node)),
+                JobLoc::Queued => None,
+            }));
+        self.losers.sort_unstable_by(rank);
 
-        // Preempt running jobs that lost their slot.
-        self.free.clear();
-        self.free
-            .extend((0..view.node_count()).map(|n| view.free_slots(n)));
-        for &(_, id, loc) in &self.order {
-            if let JobLoc::Running(node) = loc {
-                if self.should_run.binary_search(&id).is_err() {
-                    actions.push(SchedAction::Preempt { job: id });
-                    self.free[node] += 1;
-                }
-            }
+        // Preempt running jobs that lost their slot, least-attained first.
+        self.free.build_from(view);
+        for &(_, id, node) in &self.losers {
+            actions.push(SchedAction::Preempt { job: id });
+            self.free.set(node, self.free.get(node) + 1);
         }
 
         // Place queued winners, least-attained first.
-        for &(_, id, loc) in self.order.iter().take(total) {
+        for &(_, id, loc) in winners.iter() {
             if loc == JobLoc::Queued {
-                let node = most_free(&self.free)
+                let node = self
+                    .free
+                    .take_best()
                     .expect("preemptions freed at least as many slots as queued winners");
                 actions.push(SchedAction::Place { job: id, node });
-                self.free[node] -= 1;
             }
         }
     }
@@ -642,5 +703,313 @@ mod tests {
         }
         assert_eq!(SchedPolicyKind::parse("FIFO"), Some(SchedPolicyKind::Fifo));
         assert_eq!(SchedPolicyKind::parse("srtf"), None);
+    }
+
+    /// Reference disciplines: the straightforward linear-scan, full-sort
+    /// and per-waiting-job-rescan formulations the built-in policies
+    /// must match action for action.
+    mod reference {
+        use super::*;
+
+        /// Index of the node with the most free slots (ties break toward
+        /// the lowest index), by a full scan.
+        pub(super) fn most_free(free: &[usize]) -> Option<usize> {
+            let mut best: Option<usize> = None;
+            for (idx, &f) in free.iter().enumerate() {
+                if f == 0 {
+                    continue;
+                }
+                match best {
+                    Some(b) if free[b] >= f => {}
+                    _ => best = Some(idx),
+                }
+            }
+            best
+        }
+
+        fn free_of(view: &ClusterView<'_>) -> Vec<usize> {
+            (0..view.node_count()).map(|n| view.free_slots(n)).collect()
+        }
+
+        pub(super) fn fifo(view: &ClusterView<'_>) -> Vec<SchedAction> {
+            let mut free = free_of(view);
+            let mut actions = Vec::new();
+            for job in view.queue {
+                let Some(node) = most_free(&free) else {
+                    break;
+                };
+                actions.push(SchedAction::Place { job: job.id, node });
+                free[node] -= 1;
+            }
+            actions
+        }
+
+        pub(super) fn gandiva(view: &ClusterView<'_>, slice: SimDuration) -> Vec<SchedAction> {
+            let mut free = free_of(view);
+            let mut actions = Vec::new();
+            let mut waiting = Vec::new();
+            for job in view.queue {
+                match most_free(&free) {
+                    Some(node) => {
+                        actions.push(SchedAction::Place { job: job.id, node });
+                        free[node] -= 1;
+                    }
+                    None => waiting.push(job.id),
+                }
+            }
+            let mut victims: Vec<u32> = Vec::new();
+            for &job in &waiting {
+                let mut victim: Option<(usize, RunningJobView)> = None;
+                for node in 0..view.node_count() {
+                    for r in view.running_on(node) {
+                        if victims.contains(&r.id) || view.now.saturating_since(r.placed_at) < slice
+                        {
+                            continue;
+                        }
+                        match victim {
+                            Some((_, v)) if (v.placed_at, v.id) <= (r.placed_at, r.id) => {}
+                            _ => victim = Some((node, *r)),
+                        }
+                    }
+                }
+                let Some((node, v)) = victim else {
+                    break;
+                };
+                victims.push(v.id);
+                actions.push(SchedAction::Preempt { job: v.id });
+                actions.push(SchedAction::Place { job, node });
+            }
+            if view.queue.is_empty() && view.node_count() > 1 {
+                let mut hot = 0usize;
+                let mut cold = 0usize;
+                for node in 1..view.node_count() {
+                    if view.running_on(node).len() > view.running_on(hot).len() {
+                        hot = node;
+                    }
+                    if view.running_on(node).len() < view.running_on(cold).len() {
+                        cold = node;
+                    }
+                }
+                let gap = view.running_on(hot).len() - view.running_on(cold).len();
+                if gap >= GandivaPolicy::IMBALANCE && view.free_slots(cold) > 0 {
+                    if let Some(mover) = view
+                        .running_on(hot)
+                        .iter()
+                        .max_by_key(|r| (r.placed_at, r.id))
+                    {
+                        actions.push(SchedAction::Migrate {
+                            job: mover.id,
+                            node: cold,
+                        });
+                    }
+                }
+            }
+            actions
+        }
+
+        pub(super) fn tiresias(view: &ClusterView<'_>) -> Vec<SchedAction> {
+            let mut order: Vec<(f64, u32, JobLoc)> = Vec::new();
+            for job in view.queue {
+                order.push((job.attained_cpu_secs, job.id, JobLoc::Queued));
+            }
+            for node in 0..view.node_count() {
+                for r in view.running_on(node) {
+                    order.push((r.attained_cpu_secs, r.id, JobLoc::Running(node)));
+                }
+            }
+            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let total = view.total_slots();
+            let mut should_run: Vec<u32> = order.iter().take(total).map(|&(_, id, _)| id).collect();
+            should_run.sort_unstable();
+            let mut free = free_of(view);
+            let mut actions = Vec::new();
+            for &(_, id, loc) in &order {
+                if let JobLoc::Running(node) = loc {
+                    if should_run.binary_search(&id).is_err() {
+                        actions.push(SchedAction::Preempt { job: id });
+                        free[node] += 1;
+                    }
+                }
+            }
+            for &(_, id, loc) in order.iter().take(total) {
+                if loc == JobLoc::Queued {
+                    let node = most_free(&free).expect("preemptions freed enough slots");
+                    actions.push(SchedAction::Place { job: id, node });
+                    free[node] -= 1;
+                }
+            }
+            actions
+        }
+    }
+
+    /// SplitMix64 for building random views inside a property.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Attained service with heavy ties: half the jobs at exactly 0.0,
+    /// most of the rest on a few shared values.
+    fn attained(rng: &mut Mix) -> f64 {
+        match rng.below(8) {
+            0..=3 => 0.0,
+            4 => 1.0,
+            5 => 12.5,
+            6 => 40.0,
+            _ => rng.below(10_000) as f64 / 100.0,
+        }
+    }
+
+    struct RandomCluster {
+        now: SimTime,
+        queue: Vec<QueuedJobView>,
+        nodes: Vec<NodeSpan>,
+        running: Vec<RunningJobView>,
+    }
+
+    impl RandomCluster {
+        /// `node_count` nodes of 1..=`max_slots` slots each (half the
+        /// nodes full), a queue of 0..=3× the total slots (empty a quarter
+        /// of the time), unique shuffled ids, and placement ages around
+        /// the 60 s Gandiva slice.
+        fn new(node_count: usize, max_slots: usize, seed: u64) -> Self {
+            let mut rng = Mix(seed);
+            let now = SimTime::from_secs(1_000);
+            let mut nodes = Vec::with_capacity(node_count);
+            let mut used = 0;
+            for _ in 0..node_count {
+                let slots = 1 + rng.below(max_slots);
+                let len = if rng.below(2) == 0 {
+                    slots
+                } else {
+                    rng.below(slots + 1)
+                };
+                nodes.push(NodeSpan {
+                    slots,
+                    start: used,
+                    len,
+                });
+                used += len;
+            }
+            let total: usize = nodes.iter().map(|n| n.slots).sum();
+            let queue_len = if rng.below(4) == 0 {
+                0
+            } else {
+                rng.below(3 * total + 1)
+            };
+            let mut ids: Vec<u32> = (0..(used + queue_len) as u32).collect();
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.below(i + 1));
+            }
+            let running = ids[..used]
+                .iter()
+                .map(|&id| {
+                    let age = [0, 30, 59, 60, 61, 120, 60][rng.below(7)] + rng.below(2) as u64;
+                    RunningJobView {
+                        id,
+                        attained_cpu_secs: attained(&mut rng),
+                        placed_at: SimTime::from_secs(1_000 - age),
+                    }
+                })
+                .collect();
+            let queue = ids[used..]
+                .iter()
+                .map(|&id| QueuedJobView {
+                    id,
+                    arrival: SimTime::from_secs(rng.below(1_000) as u64),
+                    attained_cpu_secs: attained(&mut rng),
+                    queued_since: now,
+                })
+                .collect();
+            Self {
+                now,
+                queue,
+                nodes,
+                running,
+            }
+        }
+
+        fn view(&self) -> ClusterView<'_> {
+            ClusterView::new(self.now, &self.queue, &self.nodes, &self.running)
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_discipline_matches_its_reference(
+            node_count in 1usize..=70,
+            max_slots in 1usize..=4,
+            seed in 0u64..u64::MAX,
+        ) {
+            // One instance per discipline across several views, so the
+            // recycled buffers shrink and grow between rounds.
+            let mut fifo = FifoPolicy::new();
+            let mut gandiva = GandivaPolicy::new();
+            let mut tiresias = TiresiasPolicy::new();
+            let mut actions = Vec::new();
+            for round in 0..3u64 {
+                let cluster = RandomCluster::new(node_count, max_slots, seed ^ round);
+                let view = cluster.view();
+
+                actions.clear();
+                fifo.schedule(&view, &mut actions);
+                proptest::prop_assert_eq!(&actions, &reference::fifo(&view), "fifo");
+
+                actions.clear();
+                gandiva.schedule(&view, &mut actions);
+                proptest::prop_assert_eq!(
+                    &actions,
+                    &reference::gandiva(&view, gandiva.slice),
+                    "gandiva"
+                );
+
+                actions.clear();
+                tiresias.schedule(&view, &mut actions);
+                proptest::prop_assert_eq!(&actions, &reference::tiresias(&view), "tiresias");
+            }
+        }
+    }
+
+    #[test]
+    fn free_slot_tree_matches_a_linear_scan_under_random_updates() {
+        let mut rng = Mix(0x7EE5);
+        let mut tree = FreeSlotTree::default();
+        for n in 1..=70 {
+            let mut free: Vec<usize> = (0..n).map(|_| rng.below(5)).collect();
+            tree.build(free.iter().copied());
+            assert_eq!(
+                tree.best(),
+                reference::most_free(&free),
+                "n={n} after build"
+            );
+            for step in 0..200 {
+                let node = rng.below(n);
+                // Bias toward few distinct counts so ties are common.
+                free[node] = rng.below(3);
+                tree.set(node, free[node]);
+                assert_eq!(
+                    tree.best(),
+                    reference::most_free(&free),
+                    "n={n} step={step} free={free:?}"
+                );
+                assert_eq!(tree.get(node), free[node]);
+            }
+            while let Some(node) = reference::most_free(&free) {
+                assert_eq!(tree.take_best(), Some(node), "n={n} draining");
+                free[node] -= 1;
+            }
+            assert_eq!(tree.take_best(), None, "n={n} drained");
+        }
     }
 }
