@@ -160,6 +160,10 @@ pub enum SchedAction {
 ///   before nodes advance to the next barrier.
 /// * Actions are applied strictly in emission order.  A `Place` may
 ///   target a slot freed by an earlier `Preempt` in the same round.
+///   An action the engine cannot apply — a `Place` of a job that is not
+///   queued, a `Preempt`/`Migrate` of a job that is not running, a
+///   `Place`/`Migrate` onto a full node — panics, naming the policy, the
+///   action and the barrier.
 /// * Every decision is appended to the run's decision log, so policies
 ///   must be deterministic functions of the view and their own state —
 ///   no wall-clock, no ambient randomness.
@@ -227,8 +231,7 @@ impl SchedPolicyKind {
 
 /// Tournament tree over per-node free-slot counts: answers "which node
 /// has the most free slots?" in O(1) and absorbs a count change in
-/// O(log N), so a round's placements cost O(A log N) instead of a full
-/// node scan per action.
+/// O(log N), so a round's A placements cost O(A log N).
 ///
 /// The winner rule is the one decision logs depend on: most free slots
 /// wins, ties break toward the lowest node index.

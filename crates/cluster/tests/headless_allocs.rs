@@ -15,6 +15,7 @@
 //! executor's shard threads do the actual work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -48,10 +49,20 @@ struct CountingAllocator;
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
 
+thread_local! {
+    /// The calling thread's share of `ALLOCATIONS`.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
 fn count_if_enabled() {
     if COUNTING.load(Ordering::Relaxed) {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
+}
+
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -267,14 +278,19 @@ fn headless_memory_is_o_completions() {
     assert_eq!(retained, workers * 2);
 }
 
-/// Process-wide allocations of one sequential FIFO scheduler run: the
-/// engine's per-quantum decision loop recycles its view buffers and each
-/// node recycles its measurement/waterfill scratch, so the cost must
-/// scale with the *jobs* (admissions, decisions, completions — plus the
+/// Allocations of one sequential FIFO scheduler run: the engine's
+/// per-quantum decision loop recycles its view buffers and each node
+/// recycles its measurement/waterfill scratch, so the cost must scale
+/// with the *jobs* (admissions, decisions, completions — plus the
 /// labeled plan built inside the window), not with the number of quantum
 /// barriers crossed on the way.
+///
+/// A `.sequential(true)` run never leaves the calling thread, so its
+/// per-thread count is all of its heap traffic — and excludes what the
+/// test harness allocates meanwhile (spawning the next test's thread
+/// while this one counts), which would make exact comparisons racy.
 fn allocs_of_sched_run(jobs: usize) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     let out = ClusterSession::builder()
         .nodes(4, NodeConfig::default().with_seed(0xF10C))
         .policy(PolicyKind::FlowCon(FlowConConfig::default()))
@@ -284,7 +300,7 @@ fn allocs_of_sched_run(jobs: usize) -> u64 {
         .build()
         .run();
     assert_eq!(out.completed_jobs(), jobs, "jobs conserved");
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    thread_allocations() - before
 }
 
 #[test]
@@ -319,7 +335,7 @@ fn allocs_of_traced_sched_run<T: flowcon_sim::trace::Tracer + Send>(
     jobs: usize,
     tracer: T,
 ) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     let (out, tracer) = ClusterSession::builder()
         .nodes(4, NodeConfig::default().with_seed(0xF10C))
         .policy(PolicyKind::FlowCon(FlowConConfig::default()))
@@ -330,7 +346,7 @@ fn allocs_of_traced_sched_run<T: flowcon_sim::trace::Tracer + Send>(
         .build()
         .run_traced();
     assert_eq!(out.completed_jobs(), jobs, "jobs conserved");
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, tracer)
+    (thread_allocations() - before, tracer)
 }
 
 #[test]
