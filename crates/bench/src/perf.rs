@@ -26,6 +26,7 @@ use flowcon_sim::alloc::{
     waterfill, waterfill_into, waterfill_soft_into, AllocRequest, WaterfillScratch,
 };
 use flowcon_sim::engine::{Scheduler, SimEngine, Simulation};
+use flowcon_sim::event::DispatchQueue;
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::trace::{FlightRecorder, Tracer};
@@ -183,7 +184,11 @@ struct Ticker {
 
 impl Simulation for Ticker {
     type Event = ();
-    fn handle<T: Tracer>(&mut self, _ev: (), sched: &mut Scheduler<'_, (), T>) {
+    fn handle<T: Tracer, Q: DispatchQueue<()>>(
+        &mut self,
+        _ev: (),
+        sched: &mut Scheduler<'_, (), T, Q>,
+    ) {
         if self.remaining > 0 {
             self.remaining -= 1;
             sched.after(SimDuration::from_secs(1), ());

@@ -505,7 +505,7 @@ pub(crate) fn run_sched<T: Tracer + Send>(
         submitted: arrivals.len(),
         preemptions,
         migrations,
-        algorithm_runs: nodes.iter().map(|n| n.algorithm_runs).sum(),
+        algorithm_runs: nodes.iter().map(NodeSim::algorithm_runs).sum(),
     }
 }
 

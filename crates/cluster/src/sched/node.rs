@@ -1,36 +1,32 @@
 //! The pausable node-local FlowCon simulation driven by the scheduler's
 //! quantum barriers.
 //!
-//! Each [`NodeSim`] is the dense worker sim
-//! (`flowcon_core::dense`) reshaped for *online* control: instead of an
-//! event queue draining a fixed plan, the node holds a small slot arena
-//! of running jobs and exposes three verbs to the engine — `admit`,
-//! `preempt`, and `advance_to(barrier)`.  Between barriers the node
-//! integrates its fluid state exactly like the dense path (water-filling
-//! rates, contention efficiency, FlowCon policy ticks at their own
-//! cadence), so per-node physics are identical; only job arrival and
-//! departure are externally driven.
+//! Each [`NodeSim`] drives the FlowCon node kernel
+//! ([`flowcon_core::kernel`]) for *online* control: instead of an event
+//! queue draining a fixed plan, the node holds a fixed number of job
+//! slots and exposes three verbs to the engine — `admit`, `preempt`, and
+//! `advance_to(barrier)`.  Between barriers the node runs the kernel's
+//! steps exactly like a worker does (water-filling rates, contention
+//! efficiency, FlowCon policy ticks at their own cadence), so per-node
+//! physics are the worker's; only job arrival and departure are
+//! externally driven.  The slot index is the container id the node-local
+//! policy sees, and a freed slot is reused by the next admission.
 //!
 //! `advance_to` is a pure function of the node's own state: no shared
 //! memory, no RNG outside the node's private stream.  That is what makes
 //! the engine's sequential and sharded advance modes bit-identical
 //! (pinned by `crates/cluster/tests/sched_determinism.rs`).
 
-use flowcon_container::{ContainerId, ResourceLimits, UpdateOptions, Workload};
+use flowcon_container::{ContainerId, Workload};
 use flowcon_core::config::NodeConfig;
-use flowcon_core::metric::{progress_score, GrowthMeasurement};
+use flowcon_core::kernel::NodeKernel;
 use flowcon_core::policy::ResourcePolicy;
 use flowcon_dl::{ModelId, ModelSpec, TrainingJob};
-use flowcon_sim::alloc::{waterfill_soft_into, AllocRequest, WaterfillScratch};
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::time::{SimDuration, SimTime};
-use flowcon_sim::trace::{NoopTracer, TraceKind, Tracer};
-use flowcon_sim::{ResourceKind, ResourceVec, RESOURCE_KINDS};
+use flowcon_sim::trace::{NoopTracer, Tracer};
 
 use super::policy::RunningJobView;
-
-/// Must match `monitor::MIN_INTERVAL_SECS` (measurement reuse window).
-const MIN_INTERVAL_SECS: f64 = 0.1;
 
 /// Remaining work at or below this is "finished" — keeps the inner
 /// advance loop from chasing femtosecond tails.
@@ -58,56 +54,36 @@ pub(crate) struct PreemptedJob {
     pub(crate) arrival: SimTime,
 }
 
-/// Dense mirror of the container monitor's per-container state.
+/// The scheduler's record of one occupied slot; the job itself runs in
+/// the kernel under the slot's container id.
 #[derive(Debug, Clone, Copy)]
-struct Mon {
-    tracked: bool,
-    last_tick: SimTime,
-    last_eval: Option<f64>,
-    last_cumulative: ResourceVec,
-    cached_progress: Option<f64>,
-    cached_avg_usage: ResourceVec,
-}
-
-impl Mon {
-    const UNTRACKED: Mon = Mon {
-        tracked: false,
-        last_tick: SimTime::ZERO,
-        last_eval: None,
-        last_cumulative: ResourceVec::ZERO,
-        cached_progress: None,
-        cached_avg_usage: ResourceVec::ZERO,
-    };
-}
-
-/// One occupied job slot.  The slot index is the container id the
-/// node-local `ResourcePolicy` sees.
-#[derive(Debug)]
-struct Slot {
+struct SlotJob {
     gid: u32,
     model: ModelId,
-    job: TrainingJob,
-    limits: ResourceLimits,
     arrival: SimTime,
     placed_at: SimTime,
     rem_at_place: f64,
     base_attained: f64,
-    cumulative: ResourceVec,
-    mon: Mon,
 }
 
-impl Slot {
-    fn remaining(&self) -> f64 {
-        self.job.remaining_cpu_seconds().unwrap_or(0.0)
-    }
-
-    fn attained(&self) -> f64 {
-        self.base_attained + (self.rem_at_place - self.remaining()).max(0.0)
+impl SlotJob {
+    fn attained(&self, remaining: f64) -> f64 {
+        self.base_attained + (self.rem_at_place - remaining).max(0.0)
     }
 }
 
-/// One node of the scheduled cluster: slot arena + node-local FlowCon
-/// policy + private RNG, advanced barrier-to-barrier by the engine.
+/// The container id of slot `idx`.
+fn slot_id(idx: usize) -> ContainerId {
+    ContainerId::from_raw(idx as u32)
+}
+
+fn remaining_of(job: &TrainingJob) -> f64 {
+    job.remaining_cpu_seconds().unwrap_or(0.0)
+}
+
+/// One node of the scheduled cluster: job slots over a node kernel +
+/// node-local FlowCon policy + private RNG, advanced barrier-to-barrier
+/// by the engine.
 ///
 /// Each node owns a **per-shard flight recorder** (`tracer`, forked from
 /// the run's tracer): node-local events recorded during a parallel
@@ -122,31 +98,18 @@ pub(crate) struct NodeSim<T: Tracer = NoopTracer> {
     now: SimTime,
     /// Next node-local policy reconfiguration, if one is scheduled.
     next_tick: Option<SimTime>,
-    slots: Vec<Option<Slot>>,
-    live: usize,
+    kernel: NodeKernel,
+    slots: Vec<Option<SlotJob>>,
     /// ∫ allocated CPU rate dt (for utilization).
     pub(crate) busy_cpu_secs: f64,
     /// ∫ live jobs dt (for mean queue depth).
     pub(crate) live_job_secs: f64,
-    pub(crate) algorithm_runs: u64,
-    pub(crate) update_calls: u64,
     /// Completions since the engine last drained them, in time order.
     pub(crate) completions: Vec<NodeCompletion>,
     /// Per-node flight recorder, drained by the engine at each barrier.
     pub(crate) tracer: T,
     /// This node's index, stamped into its trace events.
     trace_id: u32,
-    /// Cumulative water-filling invocations (trace counter payload).
-    waterfill_runs: u64,
-    // Recycled hot-path buffers.
-    alloc: WaterfillScratch,
-    requests: Vec<AllocRequest>,
-    order: Vec<usize>,
-    rates: Vec<f64>,
-    effs: Vec<f64>,
-    measures: Vec<GrowthMeasurement>,
-    pool_ids: Vec<ContainerId>,
-    updates: Vec<(ContainerId, f64)>,
 }
 
 impl<T: Tracer> NodeSim<T> {
@@ -164,24 +127,13 @@ impl<T: Tracer> NodeSim<T> {
             rng: SimRng::new(cfg.seed),
             now: SimTime::ZERO,
             next_tick: None,
-            slots: (0..slots).map(|_| None).collect(),
-            live: 0,
+            kernel: NodeKernel::new(),
+            slots: vec![None; slots],
             busy_cpu_secs: 0.0,
             live_job_secs: 0.0,
-            algorithm_runs: 0,
-            update_calls: 0,
             completions: Vec::new(),
             tracer,
             trace_id,
-            waterfill_runs: 0,
-            alloc: WaterfillScratch::default(),
-            requests: Vec::new(),
-            order: Vec::new(),
-            rates: Vec::new(),
-            effs: Vec::new(),
-            measures: Vec::new(),
-            pool_ids: Vec::new(),
-            updates: Vec::new(),
         }
     }
 
@@ -190,21 +142,29 @@ impl<T: Tracer> NodeSim<T> {
     }
 
     pub(crate) fn is_idle(&self) -> bool {
-        self.live == 0
+        self.kernel.live().is_empty()
     }
 
     pub(crate) fn is_full(&self) -> bool {
-        self.live == self.slots.len()
+        self.kernel.live().len() == self.slots.len()
+    }
+
+    /// Node-local policy rounds run so far.
+    pub(crate) fn algorithm_runs(&self) -> u64 {
+        self.kernel.algorithm_runs()
     }
 
     /// Append one [`RunningJobView`] per occupied slot, in slot order.
     pub(crate) fn fill_views(&self, out: &mut Vec<RunningJobView>) {
-        for slot in self.slots.iter().flatten() {
-            out.push(RunningJobView {
-                id: slot.gid,
-                attained_cpu_secs: slot.attained(),
-                placed_at: slot.placed_at,
-            });
+        for (idx, slot) in self.slots.iter().enumerate() {
+            if let Some(slot) = slot {
+                let remaining = remaining_of(self.kernel.job(slot_id(idx)));
+                out.push(RunningJobView {
+                    id: slot.gid,
+                    attained_cpu_secs: slot.attained(remaining),
+                    placed_at: slot.placed_at,
+                });
+            }
         }
     }
 
@@ -227,34 +187,26 @@ impl<T: Tracer> NodeSim<T> {
         let idx = self
             .slots
             .iter()
-            .position(|s| s.is_none())
+            .position(Option::is_none)
             .expect("scheduler placed a job on a full node");
         let spec = ModelSpec::of(model).scaled_by(work_scale);
         // Same RNG protocol as the worker sim's admission: the ±3% work
         // jitter models checkpoint-restore noise on resume.
         let job = TrainingJob::with_label(spec, String::new(), &mut self.rng);
-        let rem = job.remaining_cpu_seconds().unwrap_or(0.0);
-        self.slots[idx] = Some(Slot {
+        self.slots[idx] = Some(SlotJob {
             gid,
             model,
-            job,
-            limits: ResourceLimits::unlimited(),
             arrival,
             placed_at: now,
-            rem_at_place: rem,
+            rem_at_place: remaining_of(&job),
             base_attained,
-            cumulative: ResourceVec::ZERO,
-            mon: Mon::UNTRACKED,
         });
-        self.live += 1;
+        self.kernel.admit(slot_id(idx), job, now);
 
-        self.rebuild_pool_ids();
-        let pool_ids = std::mem::take(&mut self.pool_ids);
-        let interrupt = self.policy.on_pool_change(now, &pool_ids);
-        self.pool_ids = pool_ids;
+        let interrupt = self.policy.on_pool_change(now, self.kernel.live());
         if interrupt {
             self.reconfigure(now);
-        } else if self.live == 1 {
+        } else if self.kernel.live().len() == 1 {
             self.next_tick = self
                 .policy
                 .initial_interval()
@@ -269,27 +221,23 @@ impl<T: Tracer> NodeSim<T> {
         let idx = self
             .slots
             .iter()
-            .position(|s| s.as_ref().is_some_and(|s| s.gid == gid))
+            .position(|s| s.is_some_and(|s| s.gid == gid))
             .expect("scheduler preempted a job this node does not run");
         let slot = self.slots[idx]
             .take()
             .expect("slot occupancy checked above");
-        self.live -= 1;
-
-        let rem = slot.remaining();
+        let rem = remaining_of(self.kernel.job(slot_id(idx)));
         let total = ModelSpec::of(slot.model).total_work;
         let out = PreemptedJob {
             model: slot.model,
             remaining_scale: (rem / total).max(f64::MIN_POSITIVE),
-            attained_cpu_secs: slot.attained(),
+            attained_cpu_secs: slot.attained(rem),
             arrival: slot.arrival,
         };
+        self.kernel.remove(slot_id(idx));
 
-        self.rebuild_pool_ids();
-        let pool_ids = std::mem::take(&mut self.pool_ids);
-        let interrupt = self.policy.on_pool_change(now, &pool_ids);
-        self.pool_ids = pool_ids;
-        if self.live == 0 {
+        let interrupt = self.policy.on_pool_change(now, self.kernel.live());
+        if self.is_idle() {
             self.next_tick = None;
         } else if interrupt {
             self.reconfigure(now);
@@ -303,10 +251,11 @@ impl<T: Tracer> NodeSim<T> {
     pub(crate) fn advance_to(&mut self, barrier: SimTime) {
         debug_assert!(barrier >= self.now, "barrier in the past");
         while self.now < barrier {
-            if self.live == 0 {
+            if self.is_idle() {
                 break;
             }
-            self.recompute_rates();
+            self.kernel
+                .recompute_rates(self.now, &self.cfg, &mut self.tracer, self.trace_id);
 
             // Next stop: the barrier, the policy tick, or the earliest
             // projected completion (with the worker sim's 1 µs margin so
@@ -318,18 +267,7 @@ impl<T: Tracer> NodeSim<T> {
                 }
             }
             let window = barrier.saturating_since(self.now).as_secs_f64();
-            let mut eta_best: Option<f64> = None;
-            for (k, &idx) in self.order.iter().enumerate() {
-                let slot = self.slots[idx]
-                    .as_ref()
-                    .expect("order tracks occupied slots");
-                let speed = self.rates[k] * self.effs[k];
-                if speed > 1e-12 {
-                    let eta = slot.remaining() / speed;
-                    eta_best = Some(eta_best.map_or(eta, |b: f64| b.min(eta)));
-                }
-            }
-            if let Some(eta) = eta_best {
+            if let Some(eta) = self.kernel.earliest_eta() {
                 if eta <= window {
                     let at =
                         self.now + SimDuration::from_secs_f64(eta) + SimDuration::from_micros(1);
@@ -341,196 +279,50 @@ impl<T: Tracer> NodeSim<T> {
 
             let dt = target.saturating_since(self.now).as_secs_f64();
             if dt > 0.0 {
-                for (k, &idx) in self.order.iter().enumerate() {
-                    let rate = self.rates[k];
-                    let eff = self.effs[k];
-                    let slot = self.slots[idx]
-                        .as_mut()
-                        .expect("order tracks occupied slots");
-                    let mut usage = slot.job.footprint();
-                    usage.set(ResourceKind::Cpu, rate);
-                    slot.cumulative += usage.scale(dt);
-                    slot.job.advance(target, rate * eff * dt);
+                self.kernel.integrate(target, dt);
+                for &rate in self.kernel.rated().1 {
                     self.busy_cpu_secs += rate * dt;
                 }
-                self.live_job_secs += self.live as f64 * dt;
+                self.live_job_secs += self.kernel.live().len() as f64 * dt;
             }
             self.now = target;
 
             // Collect exact-time completions.
-            let mut exited = false;
-            for idx in 0..self.slots.len() {
-                let done = self.slots[idx]
-                    .as_ref()
-                    .is_some_and(|s| s.remaining() <= EPS_REMAINING);
-                if done {
-                    let slot = self.slots[idx].take().expect("occupancy checked above");
-                    self.live -= 1;
-                    exited = true;
+            let now = self.now;
+            if self
+                .kernel
+                .reap(|job| (remaining_of(job) <= EPS_REMAINING).then_some(0))
+            {
+                for &(id, _) in self.kernel.exited() {
+                    let slot = self.slots[id.index()]
+                        .take()
+                        .expect("the kernel reaps occupied slots");
                     self.completions.push(NodeCompletion {
                         gid: slot.gid,
                         arrival: slot.arrival,
-                        finished: self.now,
+                        finished: now,
                     });
                 }
-            }
-            if exited {
-                self.rebuild_pool_ids();
-                let pool_ids = std::mem::take(&mut self.pool_ids);
-                let interrupt = self.policy.on_pool_change(self.now, &pool_ids);
-                self.pool_ids = pool_ids;
-                if self.live == 0 {
+                let interrupt = self.policy.on_pool_change(now, self.kernel.live());
+                if self.is_idle() {
                     self.next_tick = None;
                 } else if interrupt {
-                    self.reconfigure(self.now);
+                    self.reconfigure(now);
                 }
             }
-            if self.next_tick.is_some_and(|tick| tick <= self.now) && self.live > 0 {
-                self.reconfigure(self.now);
+            if self.next_tick.is_some_and(|tick| tick <= now) && !self.is_idle() {
+                self.reconfigure(now);
             }
         }
         self.now = barrier;
     }
 
-    /// Water-fill the node capacity over the occupied slots (identical
-    /// math to the dense worker path: soft limits, then contention
-    /// efficiency per container).
-    fn recompute_rates(&mut self) {
-        self.waterfill_runs += 1;
-        if T::ENABLED {
-            self.tracer.counter(
-                self.now,
-                TraceKind::Waterfill,
-                self.trace_id,
-                self.waterfill_runs as f64,
-            );
-        }
-        self.order.clear();
-        self.requests.clear();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if let Some(slot) = slot {
-                self.order.push(idx);
-                self.requests.push(AllocRequest {
-                    limit: slot.limits.cpu_limit(),
-                    demand: slot.job.demand(),
-                    weight: 1.0,
-                });
-            }
-        }
-        waterfill_soft_into(&mut self.alloc, self.cfg.capacity, &self.requests);
-        self.rates.clear();
-        self.rates.extend_from_slice(self.alloc.rates());
-        let n = self.order.len();
-        self.effs.clear();
-        self.effs.extend(self.requests.iter().map(|r| {
-            let shaped = r.limit < 0.999;
-            self.cfg.contention.container_efficiency(n, shaped)
-        }));
-    }
-
-    fn rebuild_pool_ids(&mut self) {
-        self.pool_ids.clear();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if slot.is_some() {
-                self.pool_ids.push(ContainerId::from_raw(idx as u32));
-            }
-        }
-    }
-
-    /// Mirror of the dense monitor's `measure_into` over the slot arena.
-    fn measure_into(&mut self, now: SimTime) {
-        self.measures.clear();
-        for idx in 0..self.slots.len() {
-            let Some(slot) = self.slots[idx].as_mut() else {
-                continue;
-            };
-            let id = ContainerId::from_raw(idx as u32);
-            let eval_now = slot.job.eval(now);
-            let cumulative = slot.cumulative;
-            let limit = slot.limits.cpu_limit();
-            let m = &mut slot.mon;
-            let measurement = if !m.tracked {
-                *m = Mon {
-                    tracked: true,
-                    last_tick: now,
-                    last_eval: eval_now,
-                    last_cumulative: cumulative,
-                    cached_progress: None,
-                    cached_avg_usage: ResourceVec::ZERO,
-                };
-                GrowthMeasurement {
-                    id,
-                    progress: None,
-                    avg_usage: ResourceVec::ZERO,
-                    cpu_limit: limit,
-                }
-            } else {
-                let dt = now.saturating_since(m.last_tick).as_secs_f64();
-                if dt < MIN_INTERVAL_SECS {
-                    GrowthMeasurement {
-                        id,
-                        progress: m.cached_progress,
-                        avg_usage: m.cached_avg_usage,
-                        cpu_limit: limit,
-                    }
-                } else {
-                    let mut avg_usage = ResourceVec::ZERO;
-                    for kind in RESOURCE_KINDS {
-                        avg_usage.set(
-                            kind,
-                            (cumulative.get(kind) - m.last_cumulative.get(kind)) / dt,
-                        );
-                    }
-                    let progress = match (eval_now, m.last_eval) {
-                        (Some(e), Some(p)) => progress_score(e, p, dt),
-                        _ => None,
-                    };
-                    m.last_tick = now;
-                    m.last_eval = eval_now.or(m.last_eval);
-                    m.last_cumulative = cumulative;
-                    m.cached_progress = progress;
-                    m.cached_avg_usage = avg_usage;
-                    GrowthMeasurement {
-                        id,
-                        progress,
-                        avg_usage,
-                        cpu_limit: limit,
-                    }
-                }
-            };
-            self.measures.push(measurement);
-        }
-    }
-
     /// Run one node-local policy reconfiguration and reschedule its tick.
     fn reconfigure(&mut self, now: SimTime) {
-        if T::ENABLED {
-            self.tracer
-                .span_begin(now, TraceKind::Reconfigure, self.live as u32, self.trace_id);
-        }
-        self.measure_into(now);
-        self.updates.clear();
-        let measures = std::mem::take(&mut self.measures);
-        let mut updates = std::mem::take(&mut self.updates);
-        let next = self.policy.reconfigure_into(now, &measures, &mut updates);
-        self.algorithm_runs += 1;
-        for &(id, limit) in updates.iter() {
-            let idx = id.index();
-            if idx < self.slots.len() {
-                if let Some(slot) = self.slots[idx].as_mut() {
-                    let opts = UpdateOptions::new().cpus(limit);
-                    slot.limits = opts.apply_to(slot.limits);
-                    self.update_calls += 1;
-                }
-            }
-        }
-        self.measures = measures;
-        self.updates = updates;
+        let next = self
+            .kernel
+            .reconfigure(now, &mut *self.policy, &mut self.tracer, self.trace_id);
         self.next_tick = next.filter(|d| *d > SimDuration::ZERO).map(|d| now + d);
-        if T::ENABLED {
-            self.tracer
-                .span_end(now, TraceKind::Reconfigure, self.live as u32, self.trace_id);
-        }
     }
 }
 
@@ -601,7 +393,7 @@ mod tests {
                     .map(|c| (c.gid, c.finished))
                     .collect::<Vec<_>>(),
                 sim.busy_cpu_secs.to_bits(),
-                sim.algorithm_runs,
+                sim.algorithm_runs(),
             )
         };
         assert_eq!(run(), run());

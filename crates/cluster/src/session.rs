@@ -2,7 +2,7 @@
 //!
 //! [`ClusterSession`] replaces the `Manager::run_*` zoo with a single
 //! fluent surface.  Configure the cluster (`nodes` / `node_configs`,
-//! `policy`, `placement`, `images`), pick exactly one workload
+//! `policy`, `placement`), pick exactly one workload
 //! (`plan` / `source` / `stream`), optionally switch the mode
 //! (`recorder` for custom observability, `scheduler` for the online
 //! cluster scheduler), then `build().run()`.
@@ -35,10 +35,7 @@
 #![deny(missing_docs)]
 
 use std::marker::PhantomData;
-use std::sync::Arc;
 
-use flowcon_container::image::shared_dl_defaults;
-use flowcon_container::ImageRegistry;
 use flowcon_core::config::NodeConfig;
 use flowcon_core::dense::QueueKind;
 use flowcon_core::recorder::{CompletionsOnly, Recorder};
@@ -182,7 +179,6 @@ pub struct ClusterSessionBuilder<'w, M = Headless> {
     nodes: NodeSet,
     policy: PolicyKind,
     strategy: Box<dyn PlacementStrategy>,
-    images: Arc<ImageRegistry>,
     workload: WorkloadSpec<'w>,
     mode: M,
 }
@@ -193,7 +189,6 @@ impl<'w> Default for ClusterSessionBuilder<'w, Headless> {
             nodes: NodeSet::Unset,
             policy: PolicyKind::Baseline,
             strategy: Box::new(RoundRobin::default()),
-            images: shared_dl_defaults(),
             workload: WorkloadSpec::Plan(WorkloadPlan::new(Vec::new())),
             mode: Headless {
                 queue: QueueKind::default(),
@@ -232,13 +227,6 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
         self
     }
 
-    /// A custom image registry shared by every worker (defaults to the
-    /// process-wide DL catalog).
-    pub fn images(mut self, images: Arc<ImageRegistry>) -> Self {
-        self.images = images;
-        self
-    }
-
     /// Drive the cluster from one materialized [`WorkloadPlan`], placed
     /// job by job with the configured strategy.
     pub fn plan(mut self, plan: WorkloadPlan) -> Self {
@@ -273,7 +261,6 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
             nodes: self.nodes,
             policy: self.policy,
             strategy: self.strategy,
-            images: self.images,
             workload: self.workload,
             mode: Recorded {
                 make,
@@ -289,7 +276,6 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
             nodes: self.nodes,
             policy: self.policy,
             strategy: self.strategy,
-            images: self.images,
             workload: self.workload,
             mode: Sched {
                 kind,
@@ -309,7 +295,6 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
             nodes: self.nodes.materialize(),
             policy: self.policy,
             strategy: self.strategy,
-            images: self.images,
             workload: self.workload,
             mode: self.mode,
         }
@@ -366,7 +351,6 @@ impl<'w, T: Tracer> ClusterSessionBuilder<'w, Sched<T>> {
             nodes: self.nodes,
             policy: self.policy,
             strategy: self.strategy,
-            images: self.images,
             workload: self.workload,
             mode: Sched {
                 kind: self.mode.kind,
@@ -389,7 +373,6 @@ pub struct ClusterSession<'w, M = Headless> {
     nodes: Vec<NodeConfig>,
     policy: PolicyKind,
     strategy: Box<dyn PlacementStrategy>,
-    images: Arc<ImageRegistry>,
     workload: WorkloadSpec<'w>,
     mode: M,
 }
@@ -488,10 +471,11 @@ impl ClusterOutcome<CompletionStats> {
 impl<'w> ClusterSession<'w, Headless> {
     /// Run headless: label-free completions and makespan only.
     ///
-    /// Placed plans run on the dense path within the < 10-allocation
-    /// per-worker budget pinned by `crates/cluster/tests/headless_allocs.rs`;
-    /// `source`/`stream` workloads run object-path sessions with
-    /// [`CompletionsOnly`] recorders.
+    /// Placed plans run through [`flowcon_core::dense`] over borrowed job
+    /// slices; `source`/`stream` workloads run sessions with
+    /// [`CompletionsOnly`] recorders.  Both drive the same worker over a
+    /// shard-recycled arena, within the < 10-allocation per-worker budget
+    /// pinned by `crates/cluster/tests/headless_allocs.rs`.
     pub fn run(self) -> ClusterOutcome<CompletionStats> {
         match self.workload {
             WorkloadSpec::Plan(_) => {
@@ -505,7 +489,7 @@ impl<'w> ClusterSession<'w, Headless> {
                 }
             }
             WorkloadSpec::Source(source) => ClusterOutcome {
-                workers: drive_source(&self.nodes, self.policy, &self.images, source, &|_| {
+                workers: drive_source(&self.nodes, self.policy, source, &|_| {
                     CompletionsOnly::new()
                 }),
                 placements: Vec::new(),
@@ -515,7 +499,6 @@ impl<'w> ClusterSession<'w, Headless> {
             WorkloadSpec::Stream(source, horizon) => split_stream(drive_stream(
                 &self.nodes,
                 self.policy,
-                &self.images,
                 source,
                 horizon,
                 &|_| CompletionsOnly::new(),
@@ -568,14 +551,14 @@ where
                     |_, target| placements.push(target),
                 );
                 ClusterOutcome {
-                    workers: drive_plan(&self.nodes, self.policy, &self.images, per_worker, make),
+                    workers: drive_plan(&self.nodes, self.policy, per_worker, make),
                     placements,
                     streams: Vec::new(),
                     tails: Vec::new(),
                 }
             }
             WorkloadSpec::Source(source) => ClusterOutcome {
-                workers: drive_source(&self.nodes, self.policy, &self.images, source, make),
+                workers: drive_source(&self.nodes, self.policy, source, make),
                 placements: Vec::new(),
                 streams: Vec::new(),
                 tails: Vec::new(),
@@ -583,7 +566,6 @@ where
             WorkloadSpec::Stream(source, horizon) => split_stream(drive_stream(
                 &self.nodes,
                 self.policy,
-                &self.images,
                 source,
                 horizon,
                 make,
@@ -732,12 +714,10 @@ fn place_flat(
 
 /// Drive one session per worker on the sharded executor: at most
 /// `available_parallelism` OS threads, each recycling one
-/// [`WorkerScratch`] across the worker sessions it processes, all
-/// sharing the cluster's image registry.
+/// [`WorkerScratch`] across the worker sessions it processes.
 fn drive_plan<R, F>(
     nodes: &[NodeConfig],
     policy: PolicyKind,
-    images: &Arc<ImageRegistry>,
     per_worker: Vec<Vec<JobRequest>>,
     make: &F,
 ) -> Vec<SessionResult<R::Output>>
@@ -753,25 +733,20 @@ where
         .enumerate()
         .map(|(idx, (node, jobs))| (idx, node, jobs))
         .collect();
-    executor::map_sharded(
-        work,
-        || (WorkerScratch::new(), images.clone()),
-        |(scratch, images), (idx, node, jobs)| {
-            // The per-worker job lists are already in arrival order, so
-            // WorkloadPlan::new's sort is a no-op pass.
-            let session = Session::builder()
-                .node(node)
-                .plan(WorkloadPlan::new(jobs))
-                .policy_box(policy.build())
-                .images(images.clone())
-                .recorder(make(idx))
-                .scratch(std::mem::take(scratch))
-                .build();
-            let (result, recycled) = session.run_recycling();
-            *scratch = recycled;
-            result
-        },
-    )
+    executor::map_sharded(work, WorkerScratch::new, |scratch, (idx, node, jobs)| {
+        // The per-worker job lists are already in arrival order, so
+        // WorkloadPlan::new's sort is a no-op pass.
+        let session = Session::builder()
+            .node(node)
+            .plan(WorkloadPlan::new(jobs))
+            .policy_box(policy.build())
+            .recorder(make(idx))
+            .scratch(std::mem::take(scratch))
+            .build();
+        let (result, recycled) = session.run_recycling();
+        *scratch = recycled;
+        result
+    })
 }
 
 /// [`drive_plan`] off a streaming [`PlanSource`]: each shard pulls the
@@ -780,7 +755,6 @@ where
 fn drive_source<R, F>(
     nodes: &[NodeConfig],
     policy: PolicyKind,
-    images: &Arc<ImageRegistry>,
     source: &dyn PlanSource,
     make: &F,
 ) -> Vec<SessionResult<R::Output>>
@@ -790,23 +764,18 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let work: Vec<(usize, NodeConfig)> = nodes.iter().copied().enumerate().collect();
-    executor::map_sharded(
-        work,
-        || (WorkerScratch::new(), images.clone()),
-        |(scratch, images), (idx, node)| {
-            let session = Session::builder()
-                .node(node)
-                .plan(source.next_plan(idx))
-                .policy_box(policy.build())
-                .images(images.clone())
-                .recorder(make(idx))
-                .scratch(std::mem::take(scratch))
-                .build();
-            let (result, recycled) = session.run_recycling();
-            *scratch = recycled;
-            result
-        },
-    )
+    executor::map_sharded(work, WorkerScratch::new, |scratch, (idx, node)| {
+        let session = Session::builder()
+            .node(node)
+            .plan(source.next_plan(idx))
+            .policy_box(policy.build())
+            .recorder(make(idx))
+            .scratch(std::mem::take(scratch))
+            .build();
+        let (result, recycled) = session.run_recycling();
+        *scratch = recycled;
+        result
+    })
 }
 
 /// The open-loop drive: every worker pulls its own stream off `source`
@@ -814,7 +783,6 @@ where
 fn drive_stream<R, F>(
     nodes: &[NodeConfig],
     policy: PolicyKind,
-    images: &Arc<ImageRegistry>,
     source: &dyn DynStreamSource,
     horizon: Horizon,
     make: &F,
@@ -825,23 +793,17 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let work: Vec<(usize, NodeConfig)> = nodes.iter().copied().enumerate().collect();
-    executor::map_sharded(
-        work,
-        || (WorkerScratch::new(), images.clone()),
-        |(scratch, images), (idx, node)| {
-            let session = Session::builder()
-                .node(node)
-                .policy_box(policy.build())
-                .images(images.clone())
-                .recorder(make(idx))
-                .scratch(std::mem::take(scratch))
-                .build();
-            let (result, recycled) =
-                session.run_stream_recycling(source.dyn_stream_for(idx), horizon);
-            *scratch = recycled;
-            result
-        },
-    )
+    executor::map_sharded(work, WorkerScratch::new, |scratch, (idx, node)| {
+        let session = Session::builder()
+            .node(node)
+            .policy_box(policy.build())
+            .recorder(make(idx))
+            .scratch(std::mem::take(scratch))
+            .build();
+        let (result, recycled) = session.run_stream_recycling(source.dyn_stream_for(idx), horizon);
+        *scratch = recycled;
+        result
+    })
 }
 
 /// Split per-worker [`StreamResult`]s into the [`ClusterOutcome`] shape

@@ -7,7 +7,6 @@
 //! helper since `Manager::run_spawn_per_worker` was removed).
 
 use flowcon_cluster::{ClusterSession, PolicyKind, Spread};
-use flowcon_container::image::shared_dl_defaults;
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_core::recorder::FullRecorder;
 use flowcon_core::session::Session;
@@ -58,19 +57,16 @@ fn spawn_per_worker(
     for (i, job) in plan.jobs.iter().cloned().enumerate() {
         per_worker[i % workers].push(job);
     }
-    let images = shared_dl_defaults();
     std::thread::scope(|scope| {
         let handles: Vec<_> = per_worker
             .into_iter()
             .zip(&nodes)
             .map(|(jobs, &node)| {
-                let images = images.clone();
                 scope.spawn(move || {
                     let result = Session::builder()
                         .node(node)
                         .plan(WorkloadPlan::new(jobs))
                         .policy_box(policy.build())
-                        .images(images)
                         .build()
                         .run();
                     RunResult::from(result)

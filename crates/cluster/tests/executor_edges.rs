@@ -30,7 +30,7 @@ fn base(workers: usize) -> ClusterSessionBuilder<'static> {
 
 /// The reference: given the placements a cluster run reports, rebuild each
 /// worker's plan and run it through a plain `Session` loop — one worker at
-/// a time, no executor, object path.  Seeds replicate the builder's stride.
+/// a time, no executor.  Seeds replicate the builder's stride.
 fn sequential_reference(
     workers: usize,
     plan: &WorkloadPlan,

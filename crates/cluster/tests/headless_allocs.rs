@@ -1,13 +1,16 @@
 //! The headless allocation budget: a `CompletionsOnly` cluster run must
-//! cost at most **20 heap allocations per simulated worker** (marginal).
+//! cost at most **10 heap allocations per simulated worker** (marginal),
+//! whatever feeds the workers — a placed plan, a streaming plan source, or
+//! an open-loop job stream.
 //!
-//! PR 2 measured ~113 allocs/worker on the full-recording path — dominated
-//! by a fresh `Daemon` + `ImageRegistry::with_dl_defaults()` per worker and
-//! the per-job `RunSummary` series.  The session redesign shares one image
-//! registry per cluster, disables the per-container stats window, recycles
-//! the engine's event heap through `WorkerScratch`, moves plan labels
-//! instead of cloning them, and (headless) never schedules sampling events
-//! or clones a label — this test is the wire that keeps it that way.
+//! Every worker runs on the node kernel's arena (`flowcon_core::kernel`),
+//! recycled per executor shard together with the event queue, so a
+//! worker's own cost is its policy box and list buffers, its completion
+//! records and (source- and stream-fed) its plan or stream.  Headless
+//! runs never schedule sampling events and never clone a label — this
+//! test is the wire that keeps it that way.  Measured on x86-64 Linux:
+//! ~4 allocs/worker placed, 6 source-fed, 6 open-loop, 5 for the 10k
+//! trace replay.
 //!
 //! The budget is asserted on the *marginal* cost between two cluster sizes
 //! so fixed per-run overhead (shard thread spawns, result vectors, the
@@ -27,15 +30,10 @@ use flowcon_dl::workload::WorkloadPlan;
 use flowcon_sim::time::SimTime;
 use flowcon_workload::{ArrivalProcess, SyntheticSource, SyntheticStreamSource, TraceSource};
 
-/// The headless allocs/worker ceiling (the ISSUE-3 acceptance budget) for
-/// the object-path configurations (plan sources, open loop).
-const ALLOCS_PER_WORKER_BUDGET: f64 = 20.0;
-
-/// The **dense**-path ceiling (the ISSUE-6 acceptance budget): a placed
-/// headless run goes through `flowcon_core::dense` — arena state recycled
-/// per shard, no daemon/pool/monitor objects — so the marginal cost per
-/// worker is just the policy box, its list buffers, and the completion
-/// stats.
+/// The headless allocs/worker ceiling for every workload shape: arena
+/// state is recycled per shard, so the marginal cost per worker is the
+/// policy box, its list buffers, the completion stats and the worker's
+/// own plan or stream.
 const DENSE_ALLOCS_PER_WORKER_BUDGET: f64 = 10.0;
 
 /// Tests in this binary run on parallel threads, but the allocation
@@ -170,10 +168,11 @@ fn plan_source_driven_cluster_stays_within_the_same_budget() {
     COUNTING.store(false, Ordering::Relaxed);
 
     let marginal = (large.saturating_sub(small)) as f64 / (LARGE - SMALL) as f64;
+    eprintln!("plan-source headless marginal cost: {marginal:.2} allocs/worker");
     assert!(
-        marginal <= ALLOCS_PER_WORKER_BUDGET,
+        marginal <= DENSE_ALLOCS_PER_WORKER_BUDGET,
         "source-driven marginal cost {marginal:.1} allocs/worker exceeds the \
-         {ALLOCS_PER_WORKER_BUDGET} budget ({small} allocs at {SMALL} workers, \
+         {DENSE_ALLOCS_PER_WORKER_BUDGET} budget ({small} allocs at {SMALL} workers, \
          {large} at {LARGE})"
     );
 }
@@ -209,10 +208,11 @@ fn open_loop_cluster_stays_within_the_same_budget() {
     COUNTING.store(false, Ordering::Relaxed);
 
     let marginal = (large.saturating_sub(small)) as f64 / (LARGE - SMALL) as f64;
+    eprintln!("open-loop headless marginal cost: {marginal:.2} allocs/worker");
     assert!(
-        marginal <= ALLOCS_PER_WORKER_BUDGET,
+        marginal <= DENSE_ALLOCS_PER_WORKER_BUDGET,
         "open-loop marginal cost {marginal:.1} allocs/worker exceeds the \
-         {ALLOCS_PER_WORKER_BUDGET} budget ({small} allocs at {SMALL} workers, \
+         {DENSE_ALLOCS_PER_WORKER_BUDGET} budget ({small} allocs at {SMALL} workers, \
          {large} at {LARGE})"
     );
 }
@@ -255,10 +255,11 @@ fn ten_k_worker_trace_replay_stays_within_budget() {
     COUNTING.store(false, Ordering::Relaxed);
 
     let marginal = (large.saturating_sub(small)) as f64 / (LARGE - SMALL) as f64;
+    eprintln!("10k trace replay marginal cost: {marginal:.2} allocs/worker");
     assert!(
-        marginal <= ALLOCS_PER_WORKER_BUDGET,
+        marginal <= DENSE_ALLOCS_PER_WORKER_BUDGET,
         "10k trace replay costs {marginal:.1} allocs/worker, budget is \
-         {ALLOCS_PER_WORKER_BUDGET} ({small} allocs at {SMALL} workers, {large} at {LARGE})"
+         {DENSE_ALLOCS_PER_WORKER_BUDGET} ({small} allocs at {SMALL} workers, {large} at {LARGE})"
     );
 }
 

@@ -1,59 +1,32 @@
 //! # flowcon-container
 //!
-//! A Docker-like container runtime substrate.
+//! The container vocabulary FlowCon speaks.
 //!
-//! The FlowCon paper implements its middleware against Docker CE 18.09: the
-//! Executor issues `docker update` commands with fractional CPU limits, the
-//! Container Monitor polls `docker stats`-style usage, and the Worker
-//! Monitor's listeners watch the container pool for arrivals and exits.
-//! This crate reproduces that surface:
+//! The FlowCon paper implements its middleware against Docker CE 18.09:
+//! the Executor issues `docker update` commands with fractional CPU
+//! limits, and the Container Monitor reads each job's evaluation function
+//! and usage.  This crate holds the pieces of that surface the node
+//! kernel (`flowcon_core::kernel`) and the real-thread runtime share:
 //!
-//! * [`id`] — 64-bit container ids rendered like short Docker hashes.
-//! * [`image`] — an image catalog (`pytorch/pytorch`, `tensorflow/...`).
-//! * [`state`] — the container lifecycle state machine
-//!   (`Created → Running → Exited`, with `Paused` detours).
+//! * [`id`] — sequential `u32` container ids rendered like short Docker
+//!   hashes; the raw id doubles as the kernel's arena index.
 //! * [`limits`] — resource limits with Docker's *soft* semantics and an
 //!   [`limits::UpdateOptions`] builder mirroring `docker update` flags.
-//! * [`stats`] — per-container usage accounting for the four resources the
-//!   paper's Container Monitor records (§3.2.1).
-//! * [`container`] — the container object binding id, image, state, limits,
-//!   stats and an attached [`workload::Workload`].
-//! * [`pool`] — the per-worker Container Pool of Fig. 2.
-//! * [`daemon`] — the daemon facade (`run` / `update` / `stop` / `ps` /
-//!   `inspect` / `stats` / `events`).
-//! * [`events`] — a drainable docker-events stream consumed by FlowCon's
-//!   listeners (Algorithm 2).
-//! * [`workload`] — the trait a payload implements so the node simulation
-//!   can drive it with allocated CPU time (implemented by `flowcon-dl`).
+//! * [`workload`] — the trait a payload implements so a node can drive it
+//!   with allocated CPU time (implemented by `flowcon-dl`), and the exit
+//!   code a finished workload implies.
 //!
-//! The daemon never advances time on its own: the simulation (or the
-//! real-thread runtime) calls [`daemon::Daemon::advance`] with the CPU rates
-//! chosen by the allocator, which keeps this crate independent of any
-//! particular clock.
+//! The container pool itself — admission, the fluid advance, usage
+//! accounting, exits — lives in the node kernel as flat arrays indexed by
+//! container id.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod container;
-pub mod daemon;
-pub mod error;
-pub mod events;
 pub mod id;
-pub mod image;
 pub mod limits;
-pub mod pool;
-pub mod state;
-pub mod stats;
 pub mod workload;
 
-pub use container::Container;
-pub use daemon::Daemon;
-pub use error::ContainerError;
-pub use events::{ContainerEvent, EventLog};
 pub use id::ContainerId;
-pub use image::{Image, ImageRegistry};
 pub use limits::{ResourceLimits, UpdateOptions};
-pub use pool::ContainerPool;
-pub use state::ContainerState;
-pub use stats::{ContainerStats, UsageSample};
-pub use workload::{Workload, WorkloadStatus};
+pub use workload::{exit_code_for, Workload, WorkloadStatus};

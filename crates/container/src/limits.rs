@@ -163,6 +163,7 @@ impl UpdateOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn default_is_unlimited() {
@@ -197,6 +198,22 @@ mod tests {
         let opts = UpdateOptions::new();
         assert!(opts.is_empty());
         assert_eq!(opts.apply_to(base), base);
+    }
+
+    proptest! {
+        /// Updates never corrupt limits: after any sequence of `--cpus`
+        /// updates the limit stays in [0, 1].
+        #[test]
+        fn update_sequences_keep_limits_valid(
+            updates in prop::collection::vec(-2.0f64..=3.0, 1..50),
+        ) {
+            let mut limits = ResourceLimits::default();
+            for v in updates {
+                limits = UpdateOptions::new().cpus(v).apply_to(limits);
+                let l = limits.cpu_limit();
+                prop_assert!((0.0..=1.0).contains(&l), "limit {l}");
+            }
+        }
     }
 
     #[test]

@@ -61,6 +61,17 @@ pub trait Workload {
     }
 }
 
+/// The exit code a container reports once its workload's status implies
+/// termination: 0 for a converged job, the crash code for a failed one,
+/// `None` while it still runs.
+pub fn exit_code_for(status: WorkloadStatus) -> Option<i32> {
+    match status {
+        WorkloadStatus::Running => None,
+        WorkloadStatus::Finished => Some(0),
+        WorkloadStatus::Failed(code) => Some(code),
+    }
+}
+
 /// A trivial fixed-size workload used by substrate tests.
 ///
 /// Consumes a fixed number of CPU-seconds and exposes a linearly decreasing
@@ -138,6 +149,15 @@ mod tests {
         w.advance(SimTime::from_secs(2), 7.0); // overshoot clamps
         assert_eq!(w.status(), WorkloadStatus::Finished);
         assert_eq!(w.remaining_cpu_seconds(), Some(0.0));
+    }
+
+    #[test]
+    fn implied_exit_follows_workload() {
+        let mut w = FixedWork::new("toy", 1.0, 1.0);
+        assert_eq!(exit_code_for(w.status()), None);
+        w.advance(SimTime::ZERO, 2.0);
+        assert_eq!(exit_code_for(w.status()), Some(0));
+        assert_eq!(exit_code_for(WorkloadStatus::Failed(137)), Some(137));
     }
 
     #[test]

@@ -37,14 +37,6 @@ impl Framework {
             Framework::TensorFlow => "Tensorflow",
         }
     }
-
-    /// The docker image reference jobs of this framework run from.
-    pub const fn image(self) -> &'static str {
-        match self {
-            Framework::PyTorch => "pytorch/pytorch:latest",
-            Framework::TensorFlow => "tensorflow/tensorflow:latest",
-        }
-    }
 }
 
 /// Identifiers for the catalog models.
@@ -347,15 +339,6 @@ mod tests {
         // Fig. 11: a lone LSTM-CFC job uses only ~20% of the node.
         let cfc = ModelSpec::of(ModelId::LstmCfc);
         assert!(cfc.demand < 0.3, "demand {}", cfc.demand);
-    }
-
-    #[test]
-    fn frameworks_map_to_images() {
-        assert_eq!(Framework::PyTorch.image(), "pytorch/pytorch:latest");
-        assert_eq!(
-            Framework::TensorFlow.image(),
-            "tensorflow/tensorflow:latest"
-        );
     }
 
     #[test]

@@ -1,64 +1,32 @@
-//! The dense (structure-of-arrays) headless worker simulation.
+//! The headless entry into the worker simulation.
 //!
-//! [`WorkerSim`](crate::worker) models one worker with per-container heap
-//! objects: a `Daemon` holding boxed `Container`s in a `BTreeMap` pool, a
-//! `BTreeMap`-backed [`ContainerMonitor`](crate::monitor::ContainerMonitor),
-//! and an event log.  That layout is right for recorded experiments, but at
-//! one million workers the headless cluster path is memory- and cache-bound
-//! on exactly those objects.
-//!
-//! This module is the same simulation over flat arrays.  Container ids are
-//! sequential `u32`s (see `flowcon_container::id`), so *the id is the array
-//! index*: one `TrainingJob` arena plus two POD slot arrays (container
-//! record, monitor record) replace the daemon, pool, stats objects, and
-//! monitor map.  The arrays live in a [`DenseScratch`] owned by the
-//! executor shard and are recycled across every worker that shard drives —
-//! a steady-state worker run performs only the allocations its policy and
-//! completion stats need (budgeted well under 10 per worker by
+//! At one million workers the headless cluster path is memory- and
+//! cache-bound, so it runs the same [`WorkerSim`](crate::worker) as every
+//! other mode with the cheapest configuration: a [`CompletionsOnly`]
+//! recorder (no sample or trace events are ever scheduled), a borrowed
+//! job slice (containers carry no labels, so arrivals allocate nothing),
+//! and a [`DenseScratch`] — the node kernel's arena plus both event queues
+//! — recycled by the executor shard across every worker it drives.  A
+//! steady-state worker run performs only the allocations its policy and
+//! completion records need (budgeted by
 //! `crates/cluster/tests/headless_allocs.rs`).
-//!
-//! **Bit-identity is the contract.**  For a given `NodeConfig` and job
-//! list, [`run_headless_dense`] produces exactly the
-//! [`SessionResult`] the object path produces with a
-//! [`CompletionsOnly`] recorder — same completions, same event count —
-//! because every floating-point operation, RNG draw, and event (time, FIFO
-//! sequence) is replicated in the same order.  The cluster test
-//! `source_run_matches_the_equivalent_placed_run` and the dense-vs-session
-//! tests below pin this.
 //!
 //! The event queue is chosen per run ([`QueueKind`]): the engine's binary
 //! heap or the calendar queue from `flowcon_sim::calendar`, which both
-//! order events by `(when, FIFO sequence)` and are bit-compared against
-//! each other by a randomized test in `flowcon-sim` and a whole-cluster
-//! test in `flowcon-cluster`.
+//! order events by `(when, FIFO sequence)` and so drive the identical
+//! event sequence.
 
-use flowcon_container::daemon::exit_code_for;
-use flowcon_container::{ContainerId, ResourceLimits, UpdateOptions, Workload};
 use flowcon_dl::workload::JobRequest;
-use flowcon_dl::TrainingJob;
 use flowcon_metrics::summary::CompletionStats;
-use flowcon_sim::alloc::{waterfill_soft_into, AllocRequest, WaterfillScratch};
-use flowcon_sim::calendar::CalendarQueue;
-use flowcon_sim::event::EventQueue;
-use flowcon_sim::rng::SimRng;
-use flowcon_sim::time::{SimDuration, SimTime};
-use flowcon_sim::{ResourceKind, ResourceVec, RESOURCE_KINDS};
+use flowcon_sim::trace::NoopTracer;
 
 use crate::config::NodeConfig;
-use crate::metric::{progress_score, GrowthMeasurement};
 use crate::policy::ResourcePolicy;
-use crate::recorder::{CompletionsOnly, Recorder, RunMeta};
+use crate::recorder::CompletionsOnly;
 use crate::session::SessionResult;
-use crate::worker::WorkerEvent;
+use crate::worker::{Plan, WorkerScratch, WorkerSetup};
 
-/// Same run-away guard as `SimEngine`.
-const MAX_EVENTS: u64 = 50_000_000;
-
-/// Intervals shorter than this reuse the previous measurement — must match
-/// `monitor::MIN_INTERVAL_SECS` exactly (bit-identity).
-const MIN_INTERVAL_SECS: f64 = 0.1;
-
-/// Which event queue drives a dense run.
+/// Which event queue drives a worker run.
 ///
 /// Both implementations dispatch events in identical `(time, FIFO)` order;
 /// the calendar queue trades the heap's `O(log n)` comparisons for `O(1)`
@@ -84,150 +52,11 @@ impl QueueKind {
     }
 }
 
-/// One container's POD record: what the object path keeps in
-/// `Container` + `ContainerStats`, minus everything headless runs never
-/// read (image, event log, usage window, state timestamps).
-///
-/// Kept `Copy` and cache-line-small on purpose — `slot_records_stay_pod`
-/// asserts the size so a refactor cannot silently fatten the arena.
-#[derive(Debug, Clone, Copy)]
-struct ContainerSlot {
-    /// Arrival/creation time (completion records need it).
-    created_at: SimTime,
-    /// Soft limits, updated by `docker update`-style policy decisions.
-    limits: ResourceLimits,
-    /// Cumulative resource-time integral (the monitor's usage source).
-    cumulative: ResourceVec,
-    /// Still in the pool (running); cleared on exit.
-    runnable: bool,
-}
+/// The recycled arena and event queues of a worker run — the same type
+/// as [`WorkerScratch`], named for the headless path.
+pub type DenseScratch = WorkerScratch;
 
-/// One container's monitor state: the dense mirror of the object
-/// monitor's `PerContainer`, plus a `tracked` flag standing in for map
-/// membership.
-#[derive(Debug, Clone, Copy)]
-struct MonitorSlot {
-    tracked: bool,
-    last_tick: SimTime,
-    last_eval: Option<f64>,
-    last_cumulative: ResourceVec,
-    cached_progress: Option<f64>,
-    cached_avg_usage: ResourceVec,
-}
-
-impl MonitorSlot {
-    const UNTRACKED: MonitorSlot = MonitorSlot {
-        tracked: false,
-        last_tick: SimTime::ZERO,
-        last_eval: None,
-        last_cumulative: ResourceVec::ZERO,
-        cached_progress: None,
-        cached_avg_usage: ResourceVec::ZERO,
-    };
-}
-
-/// The recycled arenas and hot-path buffers of the dense worker path.
-///
-/// One per executor shard; every buffer is cleared (capacity kept) between
-/// workers, so arena growth amortizes to zero across a cluster run.
-#[derive(Debug, Default)]
-pub struct DenseScratch {
-    /// Job arena: index == raw container id.
-    jobs: Vec<TrainingJob>,
-    /// Container records, parallel to `jobs`.
-    slots: Vec<ContainerSlot>,
-    /// Monitor records, parallel to `jobs`.
-    mons: Vec<MonitorSlot>,
-    /// `(id, exit code)` of containers that exited in the current step.
-    exited: Vec<(ContainerId, i32)>,
-    /// Ids with fixed rates since the last recompute, in id order.
-    rate_ids: Vec<ContainerId>,
-    /// CPU rates aligned with `rate_ids`.
-    rate_vals: Vec<f64>,
-    /// Contention efficiencies aligned with `rate_ids`.
-    efficiencies: Vec<f64>,
-    /// Water-filling scratch.
-    alloc: WaterfillScratch,
-    /// `(id, limit, demand)` allocator inputs.
-    alloc_inputs: Vec<(ContainerId, f64, f64)>,
-    /// Allocator requests derived from `alloc_inputs`.
-    requests: Vec<AllocRequest>,
-    /// Growth-measurement buffer for policy reconfigurations.
-    measures: Vec<GrowthMeasurement>,
-    /// Pool-membership buffer for listener notifications.
-    pool_ids: Vec<ContainerId>,
-    /// Policy-decision updates buffer.
-    updates: Vec<(ContainerId, f64)>,
-    /// Recycled binary-heap event queue.
-    heap: EventQueue<WorkerEvent>,
-    /// Recycled calendar event queue.
-    calendar: CalendarQueue<WorkerEvent>,
-}
-
-impl DenseScratch {
-    /// Fresh scratch with empty arenas.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clear every arena and buffer (capacities kept) and pre-size for a
-    /// worker admitting up to `max_jobs` containers.
-    fn reset_for(&mut self, max_jobs: usize) {
-        self.jobs.clear();
-        self.slots.clear();
-        self.mons.clear();
-        self.exited.clear();
-        self.rate_ids.clear();
-        self.rate_vals.clear();
-        self.efficiencies.clear();
-        self.alloc_inputs.clear();
-        self.requests.clear();
-        self.measures.clear();
-        self.pool_ids.clear();
-        self.updates.clear();
-        self.jobs.reserve(max_jobs);
-        self.slots.reserve(max_jobs);
-        self.mons.reserve(max_jobs);
-        self.exited.reserve(max_jobs);
-        self.rate_ids.reserve(max_jobs);
-        self.rate_vals.reserve(max_jobs);
-        self.efficiencies.reserve(max_jobs);
-        self.alloc_inputs.reserve(max_jobs);
-        self.requests.reserve(max_jobs);
-        self.measures.reserve(max_jobs);
-        self.pool_ids.reserve(max_jobs);
-        self.updates.reserve(max_jobs);
-        self.alloc.reserve(max_jobs);
-    }
-}
-
-/// The queue interface the dense dispatch loop needs; implemented by both
-/// the binary heap and the calendar queue, which share `(when, seq)` FIFO
-/// ordering semantics.
-trait DenseQueue {
-    fn schedule(&mut self, when: SimTime, ev: WorkerEvent);
-    fn pop_earliest(&mut self) -> Option<(SimTime, WorkerEvent)>;
-}
-
-impl DenseQueue for EventQueue<WorkerEvent> {
-    fn schedule(&mut self, when: SimTime, ev: WorkerEvent) {
-        EventQueue::schedule(self, when, ev);
-    }
-    fn pop_earliest(&mut self) -> Option<(SimTime, WorkerEvent)> {
-        self.pop_if_at_or_before(SimTime::MAX)
-    }
-}
-
-impl DenseQueue for CalendarQueue<WorkerEvent> {
-    fn schedule(&mut self, when: SimTime, ev: WorkerEvent) {
-        CalendarQueue::schedule(self, when, ev);
-    }
-    fn pop_earliest(&mut self) -> Option<(SimTime, WorkerEvent)> {
-        self.pop_if_at_or_before(SimTime::MAX)
-    }
-}
-
-/// Run one worker's plan headless over the dense arenas in `scratch`.
+/// Run one worker's plan headless, recycling `scratch`.
 ///
 /// `plan` must be the worker's jobs in plan order (ascending arrival; the
 /// cluster manager's flat placement preserves this).  Labels are ignored —
@@ -242,429 +71,14 @@ pub fn run_headless_dense(
     queue: QueueKind,
     scratch: &mut DenseScratch,
 ) -> SessionResult<CompletionStats> {
-    scratch.reset_for(plan.len());
-    match queue {
-        QueueKind::Heap => {
-            let mut q = std::mem::take(&mut scratch.heap);
-            q.clear();
-            let (result, q) = run_with_queue(node, plan, policy, q, scratch);
-            scratch.heap = q;
-            result
-        }
-        QueueKind::Calendar => {
-            let mut q = std::mem::take(&mut scratch.calendar);
-            q.clear();
-            let (result, q) = run_with_queue(node, plan, policy, q, scratch);
-            scratch.calendar = q;
-            result
-        }
-    }
-}
-
-/// The dispatch loop, monomorphized over the queue.
-fn run_with_queue<Q: DenseQueue>(
-    node: NodeConfig,
-    plan: &[JobRequest],
-    policy: Box<dyn ResourcePolicy>,
-    mut queue: Q,
-    scratch: &mut DenseScratch,
-) -> (SessionResult<CompletionStats>, Q) {
-    for (idx, job) in plan.iter().enumerate() {
-        queue.schedule(job.arrival, WorkerEvent::Arrival(idx));
-    }
-    let mut sim = DenseSim {
+    let setup = WorkerSetup {
         node,
-        plan,
+        plan: Plan::Borrowed(plan),
         policy,
-        rng: SimRng::new(node.seed),
-        now: SimTime::ZERO,
-        last_advance: SimTime::ZERO,
-        completion_gen: 0,
-        tick_gen: 0,
-        arrivals_pending: plan.len(),
-        live: 0,
         recorder: CompletionsOnly::new(),
-        update_calls: 0,
-        algorithm_runs: 0,
-        queue,
-        s: scratch,
+        failures: Vec::new(),
     };
-    // Replicates `SimEngine::run_until(.., SimTime::MAX)`: stale-generation
-    // events still count toward `events_processed` (they are popped and
-    // dispatched), and the budget guard trips at the same count.
-    let mut events_processed: u64 = 0;
-    while events_processed < MAX_EVENTS {
-        let Some((when, event)) = sim.queue.pop_earliest() else {
-            break;
-        };
-        debug_assert!(when >= sim.now, "event from the past");
-        sim.now = when;
-        events_processed += 1;
-        sim.handle(event);
-    }
-    let output = sim.recorder.finish(RunMeta {
-        policy: sim.policy.as_ref(),
-        algorithm_runs: sim.algorithm_runs,
-        update_calls: sim.update_calls,
-    });
-    let result = SessionResult {
-        output,
-        events_processed,
-        scheduler_overhead_cpu_secs: sim.algorithm_runs as f64 * sim.node.algo_cost_cpu_secs,
-    };
-    (result, sim.queue)
-}
-
-/// One worker simulation over borrowed dense state.
-///
-/// Method-for-method mirror of `WorkerSim` specialized to the headless
-/// recorder: same event protocol, same floating-point order, same RNG
-/// stream, minus the objects.
-struct DenseSim<'a, Q> {
-    node: NodeConfig,
-    plan: &'a [JobRequest],
-    policy: Box<dyn ResourcePolicy>,
-    rng: SimRng,
-    now: SimTime,
-    last_advance: SimTime,
-    completion_gen: u64,
-    tick_gen: u64,
-    arrivals_pending: usize,
-    /// Live pool size (`runnable` slots).
-    live: usize,
-    recorder: CompletionsOnly,
-    update_calls: u64,
-    algorithm_runs: u64,
-    queue: Q,
-    s: &'a mut DenseScratch,
-}
-
-impl<Q: DenseQueue> DenseSim<'_, Q> {
-    fn is_done(&self) -> bool {
-        self.arrivals_pending == 0 && self.live == 0
-    }
-
-    /// Mirror of `Scheduler::at` (same cannot-schedule-into-the-past
-    /// contract) and `Scheduler::after`.
-    fn schedule_at(&mut self, when: SimTime, ev: WorkerEvent) {
-        assert!(
-            when >= self.now,
-            "cannot schedule into the past: now={}, when={}",
-            self.now,
-            when
-        );
-        self.queue.schedule(when, ev);
-    }
-
-    fn schedule_after(&mut self, delay: SimDuration, ev: WorkerEvent) {
-        let when = self.now + delay;
-        self.queue.schedule(when, ev);
-    }
-
-    /// Integrate the fluid state from `last_advance` to `now`; exited
-    /// containers land in `s.exited` (mirror of `advance_to` +
-    /// `Daemon::advance`).
-    fn advance_to(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last_advance).as_secs_f64();
-        self.last_advance = now;
-        self.s.exited.clear();
-        if dt <= 0.0 || self.s.rate_ids.is_empty() {
-            return;
-        }
-        for i in 0..self.s.rate_ids.len() {
-            let id = self.s.rate_ids[i];
-            let rate = self.s.rate_vals[i];
-            let efficiency = self.s.efficiencies[i];
-            let slot = id.index();
-            if !self.s.slots[slot].runnable {
-                continue;
-            }
-            let mut usage = self.s.jobs[slot].footprint();
-            usage.set(ResourceKind::Cpu, rate);
-            self.s.slots[slot].cumulative += usage.scale(dt);
-            self.s.jobs[slot].advance(now, rate * efficiency * dt);
-            if let Some(code) = exit_code_for(self.s.jobs[slot].status()) {
-                self.s.slots[slot].runnable = false;
-                self.live -= 1;
-                self.s.exited.push((id, code));
-            }
-        }
-    }
-
-    /// Mirror of `Daemon::alloc_inputs_into`: `(id, limit, demand)` rows in
-    /// id order.
-    fn alloc_inputs(&mut self) {
-        self.s.alloc_inputs.clear();
-        for slot in 0..self.s.slots.len() {
-            if !self.s.slots[slot].runnable {
-                continue;
-            }
-            self.s.alloc_inputs.push((
-                ContainerId::from_raw(slot as u32),
-                self.s.slots[slot].limits.cpu_limit(),
-                self.s.jobs[slot].demand(),
-            ));
-        }
-    }
-
-    /// Mirror of `WorkerSim::recompute_rates`.
-    fn recompute_rates(&mut self) {
-        self.alloc_inputs();
-        let scratch = &mut *self.s;
-        scratch.requests.clear();
-        scratch
-            .requests
-            .extend(
-                scratch
-                    .alloc_inputs
-                    .iter()
-                    .map(|&(_, limit, demand)| AllocRequest {
-                        limit,
-                        demand,
-                        weight: 1.0,
-                    }),
-            );
-        waterfill_soft_into(&mut scratch.alloc, self.node.capacity, &scratch.requests);
-        scratch.rate_ids.clear();
-        scratch.rate_vals.clear();
-        scratch
-            .rate_ids
-            .extend(scratch.alloc_inputs.iter().map(|&(id, _, _)| id));
-        scratch.rate_vals.extend_from_slice(scratch.alloc.rates());
-        let n = scratch.rate_ids.len();
-        scratch.efficiencies.clear();
-        scratch
-            .efficiencies
-            .extend(scratch.alloc_inputs.iter().map(|&(_, limit, _)| {
-                let shaped = limit < 0.999;
-                self.node.contention.container_efficiency(n, shaped)
-            }));
-        self.completion_gen += 1;
-    }
-
-    /// Mirror of `WorkerSim::next_completion`, including its early-abort on
-    /// a rate id that has left the pool.
-    fn next_completion(&self) -> Option<SimTime> {
-        let mut best: Option<f64> = None;
-        for i in 0..self.s.rate_ids.len() {
-            let slot = self.s.rate_ids[i].index();
-            if !self.s.slots[slot].runnable {
-                return None;
-            }
-            let remaining = self.s.jobs[slot].remaining_cpu_seconds()?;
-            let speed = self.s.rate_vals[i] * self.s.efficiencies[i];
-            if speed > 1e-12 {
-                let eta = remaining / speed;
-                best = Some(best.map_or(eta, |b| b.min(eta)));
-            }
-        }
-        best.map(|eta| {
-            self.last_advance + SimDuration::from_secs_f64(eta) + SimDuration::from_micros(1)
-        })
-    }
-
-    /// Mirror of `WorkerSim::process_exits` over `s.exited`.
-    fn process_exits(&mut self, now: SimTime) -> bool {
-        if self.s.exited.is_empty() {
-            return false;
-        }
-        for k in 0..self.s.exited.len() {
-            let (id, code) = self.s.exited[k];
-            self.s.mons[id.index()] = MonitorSlot::UNTRACKED;
-            let created_at = self.s.slots[id.index()].created_at;
-            self.recorder.record_completion("", created_at, now, code);
-        }
-        self.pool_ids();
-        self.policy.on_pool_change(now, &self.s.pool_ids)
-    }
-
-    /// Mirror of `ContainerPool::ids_into`: live ids in ascending order.
-    fn pool_ids(&mut self) {
-        self.s.pool_ids.clear();
-        for slot in 0..self.s.slots.len() {
-            if self.s.slots[slot].runnable {
-                self.s.pool_ids.push(ContainerId::from_raw(slot as u32));
-            }
-        }
-    }
-
-    /// Mirror of `ContainerMonitor::measure_into` over the monitor slots.
-    fn measure_into(&mut self, now: SimTime) {
-        self.s.measures.clear();
-        for slot in 0..self.s.slots.len() {
-            if !self.s.slots[slot].runnable {
-                continue;
-            }
-            let id = ContainerId::from_raw(slot as u32);
-            let eval_now = self.s.jobs[slot].eval(now);
-            let cumulative = self.s.slots[slot].cumulative;
-            let limit = self.s.slots[slot].limits.cpu_limit();
-            let m = &mut self.s.mons[slot];
-            let measurement = if !m.tracked {
-                *m = MonitorSlot {
-                    tracked: true,
-                    last_tick: now,
-                    last_eval: eval_now,
-                    last_cumulative: cumulative,
-                    cached_progress: None,
-                    cached_avg_usage: ResourceVec::ZERO,
-                };
-                GrowthMeasurement {
-                    id,
-                    progress: None,
-                    avg_usage: ResourceVec::ZERO,
-                    cpu_limit: limit,
-                }
-            } else {
-                let dt = now.saturating_since(m.last_tick).as_secs_f64();
-                if dt < MIN_INTERVAL_SECS {
-                    GrowthMeasurement {
-                        id,
-                        progress: m.cached_progress,
-                        avg_usage: m.cached_avg_usage,
-                        cpu_limit: limit,
-                    }
-                } else {
-                    let mut avg_usage = ResourceVec::ZERO;
-                    for kind in RESOURCE_KINDS {
-                        avg_usage.set(
-                            kind,
-                            (cumulative.get(kind) - m.last_cumulative.get(kind)) / dt,
-                        );
-                    }
-                    let progress = match (eval_now, m.last_eval) {
-                        (Some(e), Some(p)) => progress_score(e, p, dt),
-                        _ => None,
-                    };
-                    m.last_tick = now;
-                    m.last_eval = eval_now.or(m.last_eval);
-                    m.last_cumulative = cumulative;
-                    m.cached_progress = progress;
-                    m.cached_avg_usage = avg_usage;
-                    GrowthMeasurement {
-                        id,
-                        progress,
-                        avg_usage,
-                        cpu_limit: limit,
-                    }
-                }
-            };
-            self.s.measures.push(measurement);
-        }
-    }
-
-    /// Mirror of `WorkerSim::run_reconfigure`.
-    fn run_reconfigure(&mut self, now: SimTime) -> Option<SimDuration> {
-        self.measure_into(now);
-        self.s.updates.clear();
-        let next_interval =
-            self.policy
-                .reconfigure_into(now, &self.s.measures, &mut self.s.updates);
-        self.algorithm_runs += 1;
-        for k in 0..self.s.updates.len() {
-            let (id, limit) = self.s.updates[k];
-            // `Daemon::update` succeeds for any pool member; in this path
-            // pool membership is exactly `runnable`.
-            let slot = id.index();
-            if slot < self.s.slots.len() && self.s.slots[slot].runnable {
-                let opts = UpdateOptions::new().cpus(limit);
-                self.s.slots[slot].limits = opts.apply_to(self.s.slots[slot].limits);
-                self.update_calls += 1;
-            }
-        }
-        next_interval
-    }
-
-    /// Mirror of `WorkerSim::schedule_tick`.
-    fn schedule_tick(&mut self, interval: Option<SimDuration>) {
-        if self.is_done() {
-            return;
-        }
-        if let Some(itval) = interval {
-            self.tick_gen += 1;
-            self.schedule_after(itval, WorkerEvent::PolicyTick(self.tick_gen));
-        }
-    }
-
-    /// Mirror of `WorkerSim::schedule_completion`.
-    fn schedule_completion(&mut self) {
-        if let Some(at) = self.next_completion() {
-            self.schedule_at(at, WorkerEvent::CompletionCheck(self.completion_gen));
-        }
-    }
-
-    /// Mirror of `WorkerSim::admit_job` (headless: the label is dropped).
-    fn admit_job(&mut self, now: SimTime, idx: usize, interrupted_by_exit: bool) {
-        let spec = self.plan[idx].scaled_spec();
-        // Same RNG protocol as `Daemon::run` + `TrainingJob::with_label`;
-        // the empty label allocates nothing and is never read headless.
-        let job = TrainingJob::with_label(spec, String::new(), &mut self.rng);
-        self.s.jobs.push(job);
-        self.s.slots.push(ContainerSlot {
-            created_at: now,
-            limits: ResourceLimits::unlimited(),
-            cumulative: ResourceVec::ZERO,
-            runnable: true,
-        });
-        self.s.mons.push(MonitorSlot::UNTRACKED);
-        self.live += 1;
-
-        self.pool_ids();
-        let interrupt = self.policy.on_pool_change(now, &self.s.pool_ids);
-        if interrupt || interrupted_by_exit {
-            let next = self.run_reconfigure(now);
-            self.schedule_tick(next);
-        } else if self.live == 1 {
-            let initial = self.policy.initial_interval();
-            self.schedule_tick(initial);
-        }
-        self.recompute_rates();
-        self.schedule_completion();
-    }
-
-    /// Mirror of `WorkerSim::handle` restricted to the events a headless
-    /// plan-driven run can see.
-    fn handle(&mut self, event: WorkerEvent) {
-        let now = self.now;
-        match event {
-            WorkerEvent::Arrival(idx) => {
-                self.advance_to(now);
-                let interrupted_by_exit = self.process_exits(now);
-                self.arrivals_pending -= 1;
-                self.admit_job(now, idx, interrupted_by_exit);
-            }
-            WorkerEvent::CompletionCheck(gen) => {
-                if gen != self.completion_gen {
-                    return; // stale projection
-                }
-                self.advance_to(now);
-                let interrupt = self.process_exits(now);
-                if interrupt {
-                    let next = self.run_reconfigure(now);
-                    self.schedule_tick(next);
-                }
-                self.recompute_rates();
-                self.schedule_completion();
-            }
-            WorkerEvent::PolicyTick(gen) => {
-                if gen != self.tick_gen {
-                    return; // pre-empted by an interrupt
-                }
-                self.advance_to(now);
-                let _ = self.process_exits(now); // tick reconfigures below
-                let next = self.run_reconfigure(now);
-                self.schedule_tick(next);
-                self.recompute_rates();
-                self.schedule_completion();
-            }
-            WorkerEvent::StreamArrival
-            | WorkerEvent::SampleTick
-            | WorkerEvent::TraceTick
-            | WorkerEvent::InjectFailure(_) => {
-                unreachable!("never scheduled on the dense headless path")
-            }
-        }
-    }
+    scratch.run_plan(setup, queue, &mut NoopTracer)
 }
 
 #[cfg(test)]
@@ -790,15 +204,6 @@ mod tests {
         assert_eq!(result.events_processed, 0);
         assert_eq!(result.output.len(), 0);
         assert_eq!(result.output.algorithm_runs, 0);
-    }
-
-    #[test]
-    fn slot_records_stay_pod() {
-        // The arenas are the density story: a fatter record is a silent
-        // memory regression at a million workers.
-        assert_eq!(std::mem::size_of::<ContainerSlot>(), 80);
-        assert_eq!(std::mem::size_of::<MonitorSlot>(), 112);
-        assert_eq!(std::mem::size_of::<ContainerId>(), 4);
     }
 
     #[test]

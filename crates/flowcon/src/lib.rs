@@ -6,9 +6,10 @@
 //!
 //! FlowCon runs on each worker (Fig. 2) and consists of:
 //!
-//! * a **Container Monitor** ([`monitor`]) sampling each job's evaluation
-//!   function and resource usage, from which the *progress score* (Eq. 1)
-//!   and *growth efficiency* (Eq. 2) are computed ([`metric`]);
+//! * a **Container Monitor** ([`kernel::NodeKernel::measure_into`])
+//!   sampling each job's evaluation function and resource usage, from
+//!   which the *progress score* (Eq. 1) and *growth efficiency* (Eq. 2)
+//!   are computed ([`metric`]);
 //! * a **Worker Monitor** with *New Cons* / *Finished Cons* listeners
 //!   ([`listener`], Algorithm 2) reacting to pool changes in real time;
 //! * an **Executor** that periodically runs the dynamic resource-management
@@ -20,11 +21,13 @@
 //! [`policy`] packages this as [`policy::FlowConPolicy`] behind the
 //! [`policy::ResourcePolicy`] trait, alongside the paper's baseline
 //! ([`policy::FairSharePolicy`], "NA") and two ablation policies.
-//! [`worker`] provides the deterministic fluid simulation of one worker
-//! node that every experiment runs on.
+//! [`kernel`] is the one model of a worker node — the container pool,
+//! soft-limit water-fill, fluid advance, measurement and reconfiguration
+//! — and [`worker`] the deterministic event-driven simulation every
+//! experiment runs it under ([`dense`] is its headless entry).
 //!
 //! Entry point: [`session::Session::builder`] — a fluent builder over node,
-//! plan, policy, shared image registry, failure injections, and a pluggable
+//! plan, policy, failure injections, and a pluggable
 //! [`recorder::Recorder`] that decides at compile time what the run
 //! observes (full paper traces, headless completions-only, or sampled).
 //! It is the *only* entry point: the historical `WorkerSim` constructors
@@ -39,10 +42,10 @@
 pub mod algorithm;
 pub mod config;
 pub mod dense;
+pub mod kernel;
 pub mod listener;
 pub mod lists;
 pub mod metric;
-pub mod monitor;
 pub mod policy;
 // The public API surface a new user meets first (and its documentation-
 // heavy migration/open-loop specs) must stay fully documented: missing

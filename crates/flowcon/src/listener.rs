@@ -10,8 +10,8 @@
 //! * `c < 0` — containers finished: purge them from every list, release
 //!   their resources, reset the interval and run Algorithm 1 (lines 10–17).
 //!
-//! In the discrete-event worker the listener is invoked exactly when the
-//! daemon emits pool-change events, which models the paper's
+//! In the discrete-event worker the listener is invoked exactly when a
+//! container enters or leaves the pool, which models the paper's
 //! "lightweight background-listeners track the container states in
 //! real-time" (§4.3) without polling.
 

@@ -46,11 +46,9 @@
 //! | `run_flowcon(node, &plan, config)` | `… .policy(FlowConPolicy::new(config)) …` |
 //! | `run_baseline(node, &plan)` | `… .policy(FairSharePolicy::new()) …` |
 //! | always-on `RunSummary` | `.recorder(FullRecorder::new())` (default), [`CompletionsOnly`], [`SamplingRecorder`] |
-//! | fresh `ImageRegistry` per worker | shared by default; override with `.images(arc_registry)` |
 //!
 //! The cluster layer builds one session per worker on the sharded
-//! executor, threading a recycled [`WorkerScratch`] and one shared image
-//! registry through all of them.  [`SessionBuilder::plan`] accepts
+//! executor, threading a recycled [`WorkerScratch`] through all of them.  [`SessionBuilder::plan`] accepts
 //! anything convertible into a `WorkloadPlan`, including the
 //! `flowcon-workload` trace and synthetic-arrival sources.
 //!
@@ -88,10 +86,6 @@
 //! [`CompletionsOnly`]: crate::recorder::CompletionsOnly
 //! [`SamplingRecorder`]: crate::recorder::SamplingRecorder
 
-use std::sync::Arc;
-
-use flowcon_container::image::shared_dl_defaults;
-use flowcon_container::ImageRegistry;
 use flowcon_dl::workload::WorkloadPlan;
 use flowcon_metrics::sojourn::SojournStats;
 use flowcon_metrics::stream::StreamStats;
@@ -100,9 +94,10 @@ use flowcon_sim::trace::{NoopTracer, Tracer};
 use flowcon_workload::stream::{Horizon, JobStream};
 
 use crate::config::NodeConfig;
+use crate::dense::QueueKind;
 use crate::policy::{FairSharePolicy, ResourcePolicy};
 use crate::recorder::{FullRecorder, Recorder};
-use crate::worker::{FailureInjection, WorkerScratch, WorkerSim};
+use crate::worker::{FailureInjection, Plan, WorkerScratch, WorkerSetup};
 
 /// The outcome of a [`Session`] run.
 #[derive(Debug, Clone)]
@@ -144,7 +139,7 @@ pub struct StreamResult<T> {
 
 /// The backend-generic core of a configured session: everything that
 /// defines the *workload and policy*, none of what is specific to the
-/// fluid simulation (recorder, scratch, image registry).
+/// fluid simulation (recorder, scratch).
 ///
 /// [`SessionBuilder::into_spec`] extracts one from the ordinary builder,
 /// so a second backend — the real-thread runtime in `flowcon-rt` — can be
@@ -166,13 +161,12 @@ pub struct SessionSpec {
 /// Fluent configuration for one worker session.
 ///
 /// Defaults: [`NodeConfig::default`], an empty plan, the NA baseline
-/// policy ([`FairSharePolicy`]), the process-shared default image registry,
-/// a [`FullRecorder`], fresh scratch, and no failure injections.
+/// policy ([`FairSharePolicy`]), a [`FullRecorder`], fresh scratch, and
+/// no failure injections.
 pub struct SessionBuilder<R: Recorder = FullRecorder> {
     node: NodeConfig,
     plan: WorkloadPlan,
     policy: Box<dyn ResourcePolicy>,
-    images: Arc<ImageRegistry>,
     recorder: R,
     scratch: WorkerScratch,
     failures: Vec<FailureInjection>,
@@ -184,7 +178,6 @@ impl Default for SessionBuilder<FullRecorder> {
             node: NodeConfig::default(),
             plan: WorkloadPlan::new(Vec::new()),
             policy: Box::new(FairSharePolicy::new()),
-            images: shared_dl_defaults(),
             recorder: FullRecorder::new(),
             scratch: WorkerScratch::new(),
             failures: Vec::new(),
@@ -222,21 +215,12 @@ impl<R: Recorder> SessionBuilder<R> {
         self
     }
 
-    /// Share an image registry across sessions (one catalog per cluster).
-    /// Defaults to the process-wide
-    /// [`shared_dl_defaults`].
-    pub fn images(mut self, images: Arc<ImageRegistry>) -> Self {
-        self.images = images;
-        self
-    }
-
     /// Choose what the session records; see [`crate::recorder`].
     pub fn recorder<R2: Recorder>(self, recorder: R2) -> SessionBuilder<R2> {
         SessionBuilder {
             node: self.node,
             plan: self.plan,
             policy: self.policy,
-            images: self.images,
             recorder,
             scratch: self.scratch,
             failures: self.failures,
@@ -264,8 +248,8 @@ impl<R: Recorder> SessionBuilder<R> {
 
     /// Extract the backend-generic [`SessionSpec`] instead of building the
     /// fluid-simulation session — the handoff point to other backends
-    /// (e.g. the `flowcon-rt` wall-clock runtime).  Recorder, scratch and
-    /// image registry are simulation-only and are dropped.
+    /// (e.g. the `flowcon-rt` wall-clock runtime).  Recorder and scratch
+    /// are simulation-only and are dropped.
     pub fn into_spec(self) -> SessionSpec {
         SessionSpec {
             node: self.node,
@@ -278,27 +262,27 @@ impl<R: Recorder> SessionBuilder<R> {
     /// Assemble the session.
     pub fn build(self) -> Session<R> {
         Session {
-            sim: WorkerSim::assemble(
-                self.node,
-                self.plan,
-                self.policy,
-                self.images,
-                self.recorder,
-                self.scratch,
-                self.failures,
-            ),
+            setup: WorkerSetup {
+                node: self.node,
+                plan: Plan::Owned(self.plan),
+                policy: self.policy,
+                recorder: self.recorder,
+                failures: self.failures,
+            },
+            scratch: self.scratch,
         }
     }
 }
 
 /// A fully-configured worker session, ready to run.
 pub struct Session<R: Recorder = FullRecorder> {
-    sim: WorkerSim<R>,
+    setup: WorkerSetup<'static, R>,
+    scratch: WorkerScratch,
 }
 
 impl Session<FullRecorder> {
-    /// Start configuring a session (defaults: NA policy, empty plan, shared
-    /// default images, [`FullRecorder`]).
+    /// Start configuring a session (defaults: NA policy, empty plan,
+    /// [`FullRecorder`]).
     pub fn builder() -> SessionBuilder<FullRecorder> {
         SessionBuilder::default()
     }
@@ -313,8 +297,11 @@ impl<R: Recorder> Session<R> {
     /// Run the plan to completion, handing the hot-path scratch back so the
     /// caller can thread it into the next session's
     /// [`SessionBuilder::scratch`].
-    pub fn run_recycling(self) -> (SessionResult<R::Output>, WorkerScratch) {
-        self.sim.run_session(&mut NoopTracer)
+    pub fn run_recycling(mut self) -> (SessionResult<R::Output>, WorkerScratch) {
+        let result = self
+            .scratch
+            .run_plan(self.setup, QueueKind::Heap, &mut NoopTracer);
+        (result, self.scratch)
     }
 
     /// Run the plan to completion, recording engine, job, and policy
@@ -325,8 +312,8 @@ impl<R: Recorder> Session<R> {
     /// spans, and cumulative water-filling counters, all stamped with
     /// sim-time (never wall clocks), so a trace is a deterministic
     /// function of the session configuration and seed.
-    pub fn run_traced<T: Tracer>(self, tracer: &mut T) -> SessionResult<R::Output> {
-        self.sim.run_session(tracer).0
+    pub fn run_traced<T: Tracer>(mut self, tracer: &mut T) -> SessionResult<R::Output> {
+        self.scratch.run_plan(self.setup, QueueKind::Heap, tracer)
     }
 
     /// Run **open-loop**: admit jobs pulled from `stream` while `horizon`
@@ -351,23 +338,25 @@ impl<R: Recorder> Session<R> {
     /// [`Session::run_stream`], handing the hot-path scratch back for the
     /// next session (the sharded open-loop cluster path).
     pub fn run_stream_recycling<J: JobStream>(
-        self,
+        mut self,
         stream: J,
         horizon: Horizon,
     ) -> (StreamResult<R::Output>, WorkerScratch) {
-        self.sim
-            .run_session_stream(stream, horizon, &mut NoopTracer)
+        let result = self
+            .scratch
+            .run_stream(self.setup, stream, horizon, &mut NoopTracer);
+        (result, self.scratch)
     }
 
     /// [`Session::run_stream`] with structured tracing (see
     /// [`Session::run_traced`]).
     pub fn run_stream_traced<J: JobStream, T: Tracer>(
-        self,
+        mut self,
         stream: J,
         horizon: Horizon,
         tracer: &mut T,
     ) -> StreamResult<R::Output> {
-        self.sim.run_session_stream(stream, horizon, tracer).0
+        self.scratch.run_stream(self.setup, stream, horizon, tracer)
     }
 }
 
@@ -393,7 +382,6 @@ mod tests {
             .node(NodeConfig::default().with_seed(7))
             .plan(WorkloadPlan::fixed_three())
             .policy(FlowConPolicy::new(FlowConConfig::with_params(0.05, 20)))
-            .images(shared_dl_defaults())
             .failure("VAE (Pytorch)", SimTime::from_secs(100), 137)
             .build()
             .run();

@@ -15,6 +15,7 @@
 //! event sequence.  The randomized comparison test at the bottom pins that
 //! bit-equality.
 
+use crate::event::DispatchQueue;
 use crate::time::SimTime;
 
 /// An entry: `(when, seq)` keys a payload, exactly as in `EventQueue`.
@@ -234,6 +235,24 @@ impl<E> CalendarQueue<E> {
         self.in_year = 0;
         self.cur_tick = 0;
         self.year_end = BUCKETS as u64;
+    }
+}
+
+impl<E> DispatchQueue<E> for CalendarQueue<E> {
+    fn schedule(&mut self, when: SimTime, payload: E) {
+        CalendarQueue::schedule(self, when, payload);
+    }
+    fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        CalendarQueue::pop_if_at_or_before(self, horizon)
+    }
+    fn peek_time(&mut self) -> Option<SimTime> {
+        CalendarQueue::peek_time(self)
+    }
+    fn is_empty(&self) -> bool {
+        CalendarQueue::is_empty(self)
+    }
+    fn clear(&mut self) {
+        CalendarQueue::clear(self);
     }
 }
 

@@ -51,7 +51,7 @@ pub use alloc::{waterfill, AllocRequest, Allocation};
 pub use calendar::CalendarQueue;
 pub use contention::ContentionModel;
 pub use engine::{RunOutcome, SimEngine, Simulation};
-pub use event::EventQueue;
+pub use event::{DispatchQueue, EventQueue};
 pub use resources::{ResourceKind, ResourceVec, RESOURCE_KINDS};
 pub use rng::SimRng;
 pub use stats::TimeWeighted;
