@@ -15,9 +15,9 @@
 //! * [`NodeKernel::reconfigure`] — measure, run the policy, apply limits.
 //!
 //! State is a structure-of-arrays arena: *the container id is the array
-//! index*, so a job, its container record and its two monitor records sit
-//! at the same index of four flat vectors, and `live` lists the running
-//! ids in ascending order.  Every step scans `live` only, so an event
+//! index*, so a job, its container record and its monitor records sit at
+//! the same index of flat vectors, and `live` lists the running ids in
+//! ascending order.  Every step scans `live` only, so an event
 //! costs O(live containers) however many jobs a long open-loop run has
 //! admitted.
 //!
@@ -89,6 +89,7 @@ impl MonitorSlot {
     /// The first observation only establishes the baseline; an interval
     /// shorter than [`MIN_INTERVAL_SECS`] (an interrupt right after a
     /// tick) reuses the previous measurement instead of rebasing.
+    #[inline]
     fn measure(
         &mut self,
         id: ContainerId,
@@ -164,7 +165,8 @@ pub struct NodeKernel {
     slots: Vec<ContainerSlot>,
     /// Policy-monitor records, parallel to `jobs`.
     policy_mons: Vec<MonitorSlot>,
-    /// Trace-monitor records, parallel to `jobs`.
+    /// Trace-monitor records, parallel to `jobs` once growth tracing has
+    /// run (headless and scheduler nodes never size it).
     trace_mons: Vec<MonitorSlot>,
     /// Running container ids, ascending.
     live: Vec<ContainerId>,
@@ -217,7 +219,6 @@ impl NodeKernel {
         self.jobs.reserve(max_jobs);
         self.slots.reserve(max_jobs);
         self.policy_mons.reserve(max_jobs);
-        self.trace_mons.reserve(max_jobs);
         self.live.reserve(max_jobs);
         self.exited.reserve(max_jobs);
         self.rate_ids.reserve(max_jobs);
@@ -231,37 +232,44 @@ impl NodeKernel {
 
     /// Running container ids, ascending — the pool membership the
     /// policy's listeners see.
+    #[inline]
     pub fn live(&self) -> &[ContainerId] {
         &self.live
     }
 
     /// Whether `id` is in the pool.
+    #[inline]
     pub fn is_live(&self, id: ContainerId) -> bool {
         self.slots.get(id.index()).is_some_and(|s| s.runnable)
     }
 
     /// The id a sequentially allocating driver gives its next container.
+    #[inline]
     pub fn next_id(&self) -> ContainerId {
         let raw = u32::try_from(self.jobs.len()).expect("container id space exhausted");
         ContainerId::from_raw(raw)
     }
 
     /// The job in container `id` (running or exited).
+    #[inline]
     pub fn job(&self, id: ContainerId) -> &TrainingJob {
         &self.jobs[id.index()]
     }
 
     /// Mutable access to the job in container `id` (fault injection).
+    #[inline]
     pub fn job_mut(&mut self, id: ContainerId) -> &mut TrainingJob {
         &mut self.jobs[id.index()]
     }
 
     /// When container `id` was admitted.
+    #[inline]
     pub fn created_at(&self, id: ContainerId) -> SimTime {
         self.slots[id.index()].created_at
     }
 
     /// Container `id`'s CPU soft limit.
+    #[inline]
     pub fn cpu_limit(&self, id: ContainerId) -> f64 {
         self.slots[id.index()].limits.cpu_limit()
     }
@@ -271,6 +279,7 @@ impl NodeKernel {
     ///
     /// `id` is either [`NodeKernel::next_id`] or a slot that is not live
     /// (the scheduler's node reuses its lowest free slot).
+    #[inline]
     pub fn admit(&mut self, id: ContainerId, job: TrainingJob, now: SimTime) {
         let slot = ContainerSlot {
             created_at: now,
@@ -283,65 +292,61 @@ impl NodeKernel {
             self.jobs.push(job);
             self.slots.push(slot);
             self.policy_mons.push(MonitorSlot::UNTRACKED);
-            self.trace_mons.push(MonitorSlot::UNTRACKED);
         } else {
             assert!(!self.slots[idx].runnable, "container {id} is already live");
             self.jobs[idx] = job;
             self.slots[idx] = slot;
             self.policy_mons[idx] = MonitorSlot::UNTRACKED;
-            self.trace_mons[idx] = MonitorSlot::UNTRACKED;
+            if let Some(m) = self.trace_mons.get_mut(idx) {
+                *m = MonitorSlot::UNTRACKED;
+            }
         }
         let pos = self.live.partition_point(|&l| l < id);
         self.live.insert(pos, id);
     }
 
     /// Take container `id` out of the pool without an exit record (the
-    /// scheduler's preemption) and forget its monitor state.
+    /// scheduler's preemption).  Its monitors forget it: a later
+    /// admission into the same slot starts from a fresh baseline.
+    #[inline]
     pub fn remove(&mut self, id: ContainerId) {
-        self.forget(id);
+        self.slots[id.index()].runnable = false;
         self.live.retain(|&l| l != id);
-    }
-
-    fn forget(&mut self, id: ContainerId) {
-        let idx = id.index();
-        self.slots[idx].runnable = false;
-        self.policy_mons[idx] = MonitorSlot::UNTRACKED;
-        self.trace_mons[idx] = MonitorSlot::UNTRACKED;
     }
 
     /// Remove every live container whose job `exit` says has ended,
     /// recording `(id, exit code)` pairs in id order (read them back with
     /// [`NodeKernel::exited`]).  Returns whether any container exited.
+    #[inline]
     pub fn reap(&mut self, exit: impl Fn(&TrainingJob) -> Option<i32>) -> bool {
         self.exited.clear();
-        for &id in &self.live {
-            if let Some(code) = exit(&self.jobs[id.index()]) {
-                self.exited.push((id, code));
+        let (jobs, slots, exited) = (&self.jobs, &mut self.slots, &mut self.exited);
+        self.live.retain(|&id| match exit(&jobs[id.index()]) {
+            Some(code) => {
+                exited.push((id, code));
+                slots[id.index()].runnable = false;
+                false
             }
-        }
-        if self.exited.is_empty() {
-            return false;
-        }
-        for k in 0..self.exited.len() {
-            self.forget(self.exited[k].0);
-        }
-        let slots = &self.slots;
-        self.live.retain(|l| slots[l.index()].runnable);
-        true
+            None => true,
+        });
+        !self.exited.is_empty()
     }
 
     /// Reap every container whose workload has terminated, with the
     /// exit code Docker would report.
+    #[inline]
     pub fn reap_terminated(&mut self) -> bool {
         self.reap(|job| exit_code_for(job.status()))
     }
 
     /// Clear the exit record (nothing exited in this step).
+    #[inline]
     pub fn clear_exited(&mut self) {
         self.exited.clear();
     }
 
     /// The containers the last reap removed, in id order.
+    #[inline]
     pub fn exited(&self) -> &[(ContainerId, i32)] {
         &self.exited
     }
@@ -350,11 +355,13 @@ impl NodeKernel {
     /// [`NodeKernel::recompute_rates`] fixed (aligned, ascending ids; a
     /// container that has exited since keeps its row until the next
     /// recompute).
+    #[inline]
     pub fn rated(&self) -> (&[ContainerId], &[f64], &[f64]) {
         (&self.rate_ids, &self.rates, &self.efficiencies)
     }
 
     /// Σ of the current allocator rates.
+    #[inline]
     pub fn rate_sum(&self) -> f64 {
         self.rate_sum
     }
@@ -368,6 +375,7 @@ impl NodeKernel {
     ///
     /// Records a cumulative [`TraceKind::Waterfill`] counter at `now`
     /// under `trace_id`.
+    #[inline]
     pub fn recompute_rates<T: Tracer>(
         &mut self,
         now: SimTime,
@@ -410,6 +418,7 @@ impl NodeKernel {
     /// rates, or `None` when nothing progresses — or when a rated
     /// container has left the pool since the rates were fixed (the
     /// projection is stale then; the next recompute renews it).
+    #[inline]
     pub fn earliest_eta(&self) -> Option<f64> {
         let mut best: Option<f64> = None;
         for (k, &id) in self.rate_ids.iter().enumerate() {
@@ -430,6 +439,7 @@ impl NodeKernel {
     /// Integrate `dt` seconds ending at `now` at the current rates: usage
     /// accounting records the raw CPU occupancy (what `docker stats`
     /// shows), job progress the occupancy times contention efficiency.
+    #[inline]
     pub fn integrate(&mut self, now: SimTime, dt: f64) {
         for (k, &id) in self.rate_ids.iter().enumerate() {
             let idx = id.index();
@@ -446,10 +456,16 @@ impl NodeKernel {
 
     /// Measure every live container through `monitor` (read the result
     /// back with [`NodeKernel::measures`]).
+    #[inline]
     pub fn measure_into(&mut self, now: SimTime, monitor: Monitor) {
         let mons = match monitor {
             Monitor::Policy => &mut self.policy_mons,
-            Monitor::Trace => &mut self.trace_mons,
+            Monitor::Trace => {
+                // Sized on first use: only recorded runs trace growth.
+                self.trace_mons
+                    .resize(self.jobs.len(), MonitorSlot::UNTRACKED);
+                &mut self.trace_mons
+            }
         };
         self.measures.clear();
         for &id in &self.live {
@@ -466,6 +482,7 @@ impl NodeKernel {
     }
 
     /// The last [`NodeKernel::measure_into`]'s measurements, in id order.
+    #[inline]
     pub fn measures(&self) -> &[GrowthMeasurement] {
         &self.measures
     }
@@ -476,6 +493,7 @@ impl NodeKernel {
     ///
     /// Records a [`TraceKind::Reconfigure`] span at `now` under
     /// `trace_id`, carrying the pool size.
+    #[inline]
     pub fn reconfigure<T: Tracer>(
         &mut self,
         now: SimTime,
@@ -516,11 +534,13 @@ impl NodeKernel {
     }
 
     /// Policy rounds run so far.
+    #[inline]
     pub fn algorithm_runs(&self) -> u64 {
         self.algorithm_runs
     }
 
     /// `docker update` calls applied so far.
+    #[inline]
     pub fn update_calls(&self) -> u64 {
         self.update_calls
     }
