@@ -437,7 +437,7 @@ pub fn run_micro_suite(counter: Option<AllocCounter<'_>>) -> Vec<PerfResult> {
     // --- cluster: headless scale (CompletionsOnly recorder) ---
     // The 10k-worker configuration: no sampling events scheduled, no label
     // clones, O(completions) memory.  allocs_per_op is per **worker** and
-    // must stay within the ≲20 budget (also pinned by
+    // must stay within the ≲10 budget (also pinned by
     // `crates/cluster/tests/headless_allocs.rs`).
     for workers in [4096usize, 10240] {
         let plan = WorkloadPlan::random_n(workers * 2, CLUSTER_BENCH_PLAN_SEED);
@@ -599,7 +599,7 @@ pub fn run_micro_suite(counter: Option<AllocCounter<'_>>) -> Vec<PerfResult> {
     // The acceptance configuration of the trace subsystem: a 10240-worker
     // headless cluster pulling per-worker slices of one shared, unlabeled
     // arrival trace.  allocs_per_op is per worker and includes plan
-    // construction (that is the point of a streaming source); the ≤ 20
+    // construction (that is the point of a streaming source); the ≤ 10
     // budget is also pinned by `crates/cluster/tests/headless_allocs.rs`.
     {
         let workers = 10240usize;
@@ -675,7 +675,7 @@ pub fn run_micro_suite(counter: Option<AllocCounter<'_>>) -> Vec<PerfResult> {
     // CLI's default rate (0.0005/s ⇒ ~1.8 jobs/worker over the hour —
     // the same per-worker work as every other cluster row), admitted
     // mid-run on the sharded executor.  allocs_per_op is per worker and
-    // must stay within the ≤ 20 headless budget (also pinned by
+    // must stay within the ≤ 10 headless budget (also pinned by
     // `crates/cluster/tests/headless_allocs.rs`); throughput scales with
     // core count, so the row is excluded from the relative events/s gate
     // like every `cluster/` row.

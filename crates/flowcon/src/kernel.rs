@@ -179,8 +179,6 @@ pub struct NodeKernel {
     rates: Vec<f64>,
     /// Contention efficiencies aligned with `rate_ids`.
     efficiencies: Vec<f64>,
-    /// Σ `rates`.
-    rate_sum: f64,
     alloc: WaterfillScratch,
     requests: Vec<AllocRequest>,
     measures: Vec<GrowthMeasurement>,
@@ -209,7 +207,6 @@ impl NodeKernel {
         self.rate_ids.clear();
         self.rates.clear();
         self.efficiencies.clear();
-        self.rate_sum = 0.0;
         self.requests.clear();
         self.measures.clear();
         self.updates.clear();
@@ -317,7 +314,6 @@ impl NodeKernel {
     /// Remove every live container whose job `exit` says has ended,
     /// recording `(id, exit code)` pairs in id order (read them back with
     /// [`NodeKernel::exited`]).  Returns whether any container exited.
-    #[inline]
     pub fn reap(&mut self, exit: impl Fn(&TrainingJob) -> Option<i32>) -> bool {
         self.exited.clear();
         let (jobs, slots, exited) = (&self.jobs, &mut self.slots, &mut self.exited);
@@ -360,12 +356,6 @@ impl NodeKernel {
         (&self.rate_ids, &self.rates, &self.efficiencies)
     }
 
-    /// Σ of the current allocator rates.
-    #[inline]
-    pub fn rate_sum(&self) -> f64 {
-        self.rate_sum
-    }
-
     /// Water-fill the node's capacity over the pool with Docker
     /// soft-limit semantics (§4.1): a limit bounds the share a container
     /// may claim while others contend, but capacity that would otherwise
@@ -375,7 +365,6 @@ impl NodeKernel {
     ///
     /// Records a cumulative [`TraceKind::Waterfill`] counter at `now`
     /// under `trace_id`.
-    #[inline]
     pub fn recompute_rates<T: Tracer>(
         &mut self,
         now: SimTime,
@@ -411,7 +400,6 @@ impl NodeKernel {
             let shaped = r.limit < 0.999;
             node.contention.container_efficiency(n, shaped)
         }));
-        self.rate_sum = self.rates.iter().sum();
     }
 
     /// Seconds until the earliest projected completion at the current
@@ -493,7 +481,6 @@ impl NodeKernel {
     ///
     /// Records a [`TraceKind::Reconfigure`] span at `now` under
     /// `trace_id`, carrying the pool size.
-    #[inline]
     pub fn reconfigure<T: Tracer>(
         &mut self,
         now: SimTime,

@@ -19,7 +19,7 @@
 //!   pre-redesign `WorkerSim::run` output (asserted while the deprecated
 //!   shims lived; they are gone now).
 //! * [`CompletionsOnly`] — headless: label-free [`CompletionStats`] only,
-//!   O(completions) memory, ≲20 allocations per simulated worker.
+//!   O(completions) memory, ≲10 allocations per simulated worker.
 //! * [`SamplingRecorder`] — every-k-th-tick decimation of any inner
 //!   recorder's traces (completions are never decimated).
 
@@ -150,7 +150,7 @@ impl Recorder for FullRecorder {
 ///
 /// No usage/limit traces, no growth series, no label clones, no policy-name
 /// `String` — the session holds O(completions) memory and a worker run
-/// stays within the ≲20 allocations/worker budget enforced by
+/// stays within the ≲10 allocations/worker budget enforced by
 /// `crates/cluster/tests/headless_allocs.rs` and the committed
 /// `cluster/headless/*` bench rows.
 #[derive(Debug, Clone, Default)]

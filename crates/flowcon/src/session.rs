@@ -21,7 +21,7 @@
 //!     .run();
 //! assert_eq!(result.output.completions.len(), 3);
 //!
-//! // Headless: completions and makespan only, ≲20 allocs per worker.
+//! // Headless: completions and makespan only, ≲10 allocs per worker.
 //! let stats = Session::builder()
 //!     .plan(WorkloadPlan::fixed_three())
 //!     .recorder(CompletionsOnly::new())

@@ -237,6 +237,8 @@ struct WorkerSim<'a, R: Recorder> {
 
     // --- steady-state accounting (open-loop metrics; two FMAs per fluid
     // --- advance, no allocation, bit-neutral for plan-driven runs) ---
+    /// Σ of the current allocator rates (refreshed by `recompute_rates`).
+    rate_sum: f64,
     /// `∫ Σrates · dt` — the utilization numerator.
     busy: TimeWeighted,
     /// `∫ rated containers · dt` — the mean-queue-depth numerator.
@@ -277,6 +279,7 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
             completion_gen: 0,
             tick_gen: 0,
             arrivals_pending,
+            rate_sum: 0.0,
             busy: TimeWeighted::new(),
             queue: TimeWeighted::new(),
             exits_total: 0,
@@ -421,7 +424,7 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
         // Steady-state integrals: rates and pool size are constant between
         // events, so each step contributes one rectangle.
         let rated = self.kernel.rated().0.len();
-        self.busy.accumulate(self.kernel.rate_sum(), dt);
+        self.busy.accumulate(self.rate_sum, dt);
         self.queue.accumulate(rated as f64, dt);
         if dt <= 0.0 || rated == 0 {
             self.kernel.clear_exited();
@@ -436,6 +439,7 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
     fn recompute_rates<T: Tracer>(&mut self, tracer: &mut T) {
         self.kernel
             .recompute_rates(self.last_advance, &self.node, tracer, 0);
+        self.rate_sum = self.kernel.rated().1.iter().sum();
         self.completion_gen += 1;
     }
 
