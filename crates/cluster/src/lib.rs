@@ -15,9 +15,9 @@
 //! * [`executor`] — the sharded executor: a bounded shared-cursor pool
 //!   with per-shard reusable state, so 1000-worker clusters run on
 //!   `available_parallelism` OS threads.
-//! * [`manager`] — result carriers of the dense headless path
-//!   ([`PlacedHeadless`], [`ClusterRun`]); the legacy `Manager` façade
-//!   itself has been removed (see the migration table in [`session`]).
+//! * [`manager`] — [`PlacedHeadless`], the dense headless path split at
+//!   its placement stage; the legacy `Manager` façade itself has been
+//!   removed (see the migration table in [`session`]).
 //! * [`session`] — the front door: one builder covering closed plans,
 //!   streamed plan sources, open-loop job streams, pluggable recorders,
 //!   and the online scheduler.

@@ -1,4 +1,4 @@
-//! Result carriers of the dense headless cluster path.
+//! The dense headless cluster path, split at its placement stage.
 //!
 //! The `Manager` façade that used to live here is gone: its ten `run_*`
 //! entry points shipped one release as `#[deprecated]` shims over
@@ -7,66 +7,23 @@
 //! with the façade itself.  The migration table in [`crate::session`]
 //! maps every removed entry point onto the builder.
 //!
-//! What remains are the two result types the builder's headless path
-//! still produces: [`PlacedHeadless`] (a placed-but-unsimulated cluster,
-//! the stage boundary `repro profile` clocks) and [`ClusterRun`] (the
-//! per-worker results of driving it).
+//! What remains is [`PlacedHeadless`]: a placed-but-unsimulated cluster,
+//! the stage boundary `repro profile` clocks.  Driving it yields the same
+//! [`ClusterOutcome`] every headless run returns; [`ClusterRun`] survives
+//! only as an alias of that type.
 
 use flowcon_core::config::NodeConfig;
 use flowcon_core::dense::{run_headless_dense, DenseScratch, QueueKind};
-use flowcon_core::session::SessionResult;
 use flowcon_dl::workload::JobRequest;
-use flowcon_metrics::summary::{makespan_over, CompletionStats};
+use flowcon_metrics::summary::CompletionStats;
 
 use crate::executor;
 use crate::policy_kind::PolicyKind;
+use crate::session::ClusterOutcome;
 
-/// Result of a recorder-generic cluster run.
-///
-/// The assignment log stores worker indices only (`placements[job]` in
-/// plan order) — no label clones, so a headless run holds O(completions)
-/// memory in total.
-#[derive(Debug)]
-pub struct ClusterRun<T> {
-    /// Per-worker session results, indexed by worker.
-    pub workers: Vec<SessionResult<T>>,
-    /// Worker index of each job, in plan (arrival) order.
-    pub placements: Vec<usize>,
-}
-
-impl<T> ClusterRun<T> {
-    /// Total simulated events across all workers.
-    pub fn events_processed(&self) -> u64 {
-        self.workers.iter().map(|w| w.events_processed).sum()
-    }
-}
-
-impl ClusterRun<CompletionStats> {
-    /// Cluster makespan (canonical [`makespan_over`] fold).
-    pub fn makespan_secs(&self) -> f64 {
-        makespan_over(self.workers.iter().map(|w| w.output.makespan_secs()))
-    }
-
-    /// Total number of completed jobs.
-    pub fn completed_jobs(&self) -> usize {
-        self.workers.iter().map(|w| w.output.len()).sum()
-    }
-
-    /// Mean per-job completion time over the whole cluster.
-    pub fn mean_completion_secs(&self) -> Option<f64> {
-        let n = self.completed_jobs();
-        if n == 0 {
-            return None;
-        }
-        let sum: f64 = self
-            .workers
-            .iter()
-            .flat_map(|w| w.output.completions.iter())
-            .map(|c| c.completion_secs())
-            .sum();
-        Some(sum / n as f64)
-    }
-}
+/// The old name of [`ClusterOutcome`], kept because the `flowbench`
+/// dense workload still imports it.
+pub type ClusterRun<T> = ClusterOutcome<T>;
 
 /// A headless cluster with every job already placed, ready to simulate.
 ///
@@ -88,7 +45,7 @@ pub struct PlacedHeadless {
 impl PlacedHeadless {
     /// Simulate every worker on the sharded executor through the dense
     /// headless path, with the given event-queue implementation.
-    pub fn run(self, queue: QueueKind) -> ClusterRun<CompletionStats> {
+    pub fn run(self, queue: QueueKind) -> ClusterOutcome<CompletionStats> {
         let policy = self.policy;
         let work: Vec<(usize, NodeConfig)> = self.nodes.iter().copied().enumerate().collect();
         let flat = &self.flat[..];
@@ -97,9 +54,11 @@ impl PlacedHeadless {
             let jobs = &flat[offsets[idx]..offsets[idx + 1]];
             run_headless_dense(node, jobs, policy.build(), queue, scratch)
         });
-        ClusterRun {
+        ClusterOutcome {
             workers,
             placements: self.placements,
+            streams: Vec::new(),
+            tails: Vec::new(),
         }
     }
 }

@@ -480,13 +480,7 @@ impl<'w> ClusterSession<'w, Headless> {
         match self.workload {
             WorkloadSpec::Plan(_) => {
                 let queue = self.mode.queue;
-                let run = self.place().run(queue);
-                ClusterOutcome {
-                    workers: run.workers,
-                    placements: run.placements,
-                    streams: Vec::new(),
-                    tails: Vec::new(),
-                }
+                self.place().run(queue)
             }
             WorkloadSpec::Source(source) => ClusterOutcome {
                 workers: drive_source(&self.nodes, self.policy, source, &|_| {
