@@ -1,35 +1,12 @@
-//! Regenerate every table and figure of the FlowCon paper.
+//! Regenerate every table and figure of the FlowCon paper, and front the
+//! system's other experiment surfaces.
 //!
-//! ```text
-//! repro [experiment ...]
-//! repro bench [--out FILE] [--check BASELINE.json]
-//! repro cluster [--workers N] [--jobs J] [--seed S] [--headless]
-//!               [--queue {heap,calendar}]
-//! repro profile [--workers N] [--jobs J] [--seed S]
-//!               [--queue {heap,calendar}]
-//! repro trace --file PATH | --synthetic {poisson,bursty,diurnal}
-//!             [--jobs N] [--rate R] [--seed S] [--workers N]
-//!             [--policy {flowcon,na}] [--thin P] [--compress X] [--emit PATH]
-//! repro stream --synthetic {poisson,bursty,diurnal} | --file PATH [--cycle]
-//!              [--until SECS] [--jobs N] [--rate R] [--seed S] [--workers N]
-//!              [--policy {flowcon,na}] [--headless] [--hints] [--trace-out PATH]
-//! repro sched [--policy {fifo,gandiva,tiresias}] [--compare]
-//!             [--workers N] [--jobs J] [--seed S] [--quantum SECS]
-//!             [--slots K] [--sequential] [--trace-out PATH]
-//! repro frontier [--policy {fifo,gandiva,tiresias}] [--compare]
-//!                [--workers N] [--jobs J] [--seed S] [--quantum SECS]
-//!                [--slots K] [--rates R1,R2,...] [--emit PATH]
-//! repro timeline [--policy {fifo,gandiva,tiresias}] [--workers N] [--jobs J]
-//!                [--seed S] [--quantum SECS] [--slots K] [--sequential]
-//!                [--capacity N] [--out PATH] [--summary]
-//! repro fidelity [--workers N] [--jobs J] [--seed S] [--dilation D]
-//!                [--chaos {straggler,churn}] [--emit PATH]
-//!
-//! experiments:
-//!   table1 fig1 fig3 fig4 fig5 fig6 table2 fig7 fig8 fig9 fig10 fig11
-//!   fig12 fig13 fig14 fig15 fig16 fig17
-//!   ablation-backoff ablation-beta ablation-kappa ablation-policies
-//!   all (default)
+//! `repro --help` prints the synopsis of every subcommand and the list of
+//! paper experiments.  Both are generated from the `COMMANDS` and
+//! `EXPERIMENTS` tables below, which are also what the command line is
+//! parsed against: an unknown experiment or flag, a repeated flag, a
+//! missing value or a stray argument is a usage error (exit 2) before
+//! anything runs.  With no arguments `repro` runs every experiment.
 //!
 //! `repro bench` runs the fixed allocator/engine/policy/cluster micro-suite
 //! and writes a machine-readable `BENCH_<date>.json` (see BENCHMARKS.md).
@@ -50,7 +27,7 @@
 //! per-stage wall time (plan build, placement, simulation), allocations
 //! per stage (this binary's counting allocator), allocs/worker for the
 //! simulation stage, and peak RSS (`VmHWM` from `/proc/self/status`).
-//! The ISSUE-6 acceptance numbers (`repro profile --workers 1000000`)
+//! The million-worker density numbers (`repro profile --workers 1000000`)
 //! come from this subcommand.
 //!
 //! `repro trace` replays an arrival trace (`--file`, CSV or JSONL — see
@@ -123,12 +100,15 @@
 //! while the report shows nonzero divergence.  `--emit PATH` writes the
 //! report as JSONL.  Exits 2 when divergence breaches tolerance (or the
 //! chaos-surviving completion-set invariant fails).
-//! ```
 //!
 //! Output: paper-style tables and ASCII charts on stdout; CSV artifacts
-//! under `target/experiments/`.
+//! under `target/experiments/`.  Exit codes: 0 on success, 1 when the
+//! bench gate fails, 2 on a usage or I/O error (`error: ...` and the
+//! command's synopsis on stderr).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use flowcon_bench::experiments::{
@@ -136,10 +116,19 @@ use flowcon_bench::experiments::{
 };
 use flowcon_bench::perf;
 use flowcon_bench::report::{completion_table, section, write_csv};
+use flowcon_cluster::{
+    ClusterSession, ClusterSessionBuilder, PolicyKind, QueueKind, Sched, SchedPolicyKind,
+};
+use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_dl::models::{ModelSpec, TABLE1_MODELS};
+use flowcon_dl::workload::WorkloadPlan;
 use flowcon_metrics::chart::{bar_chart, line_chart};
-use flowcon_metrics::export::{completions_csv, series_csv, text_table, to_csv};
+use flowcon_metrics::export::{completions_csv, series_csv, text_table, to_csv, write_artifact};
 use flowcon_metrics::summary::RunSummary;
+use flowcon_metrics::tracelog;
+use flowcon_sim::time::SimDuration;
+use flowcon_sim::trace::{FlightRecorder, TraceEvent, DEFAULT_CAPACITY};
+use flowcon_workload::{ArrivalTrace, BoundTrace, TraceCatalog};
 
 /// Counting allocator so `repro bench` can report allocs/op.
 ///
@@ -181,144 +170,362 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench") {
-        run_bench(&args[1..]);
-        return;
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().is_some_and(|a| a == "help") || argv.iter().any(|a| a == "--help") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
     }
-    if args.first().map(String::as_str) == Some("cluster") {
-        run_cluster(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("profile") {
-        run_profile(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        run_trace(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("stream") {
-        run_stream(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("sched") {
-        run_sched_cmd(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("frontier") {
-        run_frontier(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("timeline") {
-        run_timeline(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("fidelity") {
-        run_fidelity(&args[1..]);
-        return;
-    }
-    let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        // fig7/fig10/fig13/fig15 each also print their paired figure.
-        vec![
-            "table1",
-            "fig1",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "table2",
-            "fig7",
-            "fig9",
-            "fig10",
-            "fig12",
-            "fig13",
-            "fig15",
-            "fig17",
-            "ablation-backoff",
-            "ablation-beta",
-            "ablation-kappa",
-            "ablation-policies",
-            "ablation-resource",
-        ]
-    } else {
-        args.iter().map(|s| s.as_str()).collect()
+    let first = argv.first().map(String::as_str);
+    let (synopsis, outcome) = match COMMANDS.iter().find(|c| Some(c.name) == first) {
+        Some(cmd) => (
+            cmd.synopsis(7),
+            Args::parse(cmd.flags, &argv[1..]).and_then(|args| (cmd.run)(&args)),
+        ),
+        None => (EXPERIMENTS_SYNOPSIS.into(), run_experiments(&argv)),
     };
+    // The one error path: every usage and I/O error lands here.
+    outcome.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\nusage: {synopsis}\n(`repro --help` lists every command)");
+        ExitCode::from(2)
+    })
+}
 
-    for exp in wanted {
-        match exp {
-            "table1" => table1(),
-            "fig1" => run_fig1(),
-            "fig3" => fixed_sweep(
-                "Fig. 3 (alpha=5%, itval sweep)",
-                fixed::fig3(default_node()),
-                "fig3",
-            ),
-            "fig4" => fixed_sweep(
-                "Fig. 4 (alpha=10%, itval sweep)",
-                fixed::fig4(default_node()),
-                "fig4",
-            ),
-            "fig5" => fixed_sweep(
-                "Fig. 5 (itval=20, alpha sweep)",
-                fixed::fig5(default_node()),
-                "fig5",
-            ),
-            "fig6" => fixed_sweep(
-                "Fig. 6 (itval=30, alpha sweep)",
-                fixed::fig6(default_node()),
-                "fig6",
-            ),
-            "table2" => table2(),
-            "fig7" | "fig8" => fig7_fig8(),
-            "fig9" => fig9(),
-            "fig10" | "fig11" => fig10_fig11(),
-            "fig12" => fig12_fig15_fig16(false),
-            "fig15" | "fig16" => fig12_fig15_fig16(true),
-            "fig13" | "fig14" => fig13_fig14(),
-            "fig17" => fig17(),
-            "ablation-backoff" => ablation_backoff(),
-            "ablation-beta" => ablation_beta(),
-            "ablation-kappa" => ablation_kappa(),
-            "ablation-policies" => ablation_policies(),
-            "ablation-resource" => ablation_resource(),
-            other => eprintln!("unknown experiment: {other}"),
-        }
+// ---------------------------------------------------------------------------
+// The command table and the argument layer
+// ---------------------------------------------------------------------------
+
+/// A handler's verdict: the exit code, or a usage or I/O error message
+/// that `main` reports together with the command's synopsis (exit 2).
+type Outcome = Result<ExitCode, String>;
+
+/// One `repro` subcommand.
+struct Command {
+    name: &'static str,
+    /// Every flag the command accepts, in usage form: `--name VALUE` takes
+    /// a value, a bare `--name` is a switch.  Anything else is an error.
+    flags: &'static str,
+    run: fn(&Args) -> Outcome,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "bench",
+        flags: "--out FILE --check BASELINE.json",
+        run: run_bench,
+    },
+    Command {
+        name: "cluster",
+        flags: "--workers N --jobs J --seed S --headless --queue {heap,calendar}",
+        run: run_cluster,
+    },
+    Command {
+        name: "profile",
+        flags: "--workers N --jobs J --seed S --queue {heap,calendar}",
+        run: run_profile,
+    },
+    Command {
+        name: "trace",
+        flags: "--file PATH --synthetic {poisson,bursty,diurnal} --jobs N --rate R --seed S \
+                --workers N --policy {flowcon,na} --thin P --compress X --emit PATH",
+        run: run_trace,
+    },
+    Command {
+        name: "stream",
+        flags: "--synthetic {poisson,bursty,diurnal} --file PATH --cycle --until SECS --jobs N \
+                --rate R --seed S --workers N --policy {flowcon,na} --headless --hints \
+                --trace-out PATH",
+        run: run_stream,
+    },
+    Command {
+        name: "sched",
+        flags: "--policy {fifo,gandiva,tiresias} --compare --workers N --jobs J --seed S \
+                --quantum SECS --slots K --sequential --trace-out PATH",
+        run: run_sched,
+    },
+    Command {
+        name: "frontier",
+        flags: "--policy {fifo,gandiva,tiresias} --compare --workers N --jobs J --seed S \
+                --quantum SECS --slots K --rates R1,R2,... --emit PATH",
+        run: run_frontier,
+    },
+    Command {
+        name: "timeline",
+        flags: "--policy {fifo,gandiva,tiresias} --workers N --jobs J --seed S --quantum SECS \
+                --slots K --sequential --capacity N --out PATH --summary",
+        run: run_timeline,
+    },
+    Command {
+        name: "fidelity",
+        flags: "--workers N --jobs J --seed S --dilation D --chaos {straggler,churn} --emit PATH",
+        run: run_fidelity,
+    },
+];
+
+/// The flags of a [`Command::flags`] spec as `(name, value placeholder)`
+/// pairs; a `None` placeholder marks a switch.
+fn flags(spec: &'static str) -> impl Iterator<Item = (&'static str, Option<&'static str>)> {
+    let mut words = spec.split_whitespace().peekable();
+    std::iter::from_fn(move || {
+        let name = words.next()?;
+        Some((name, words.next_if(|w| !w.starts_with("--"))))
+    })
+}
+
+impl Command {
+    /// `repro NAME [--flag VALUE] ...`, for a first line that starts at
+    /// column `margin`.
+    fn synopsis(&self, margin: usize) -> String {
+        let flags = flags(self.flags).map(|(name, value)| match value {
+            Some(v) => format!("[{name} {v}]"),
+            None => format!("[{name}]"),
+        });
+        let head = format!("repro {}", self.name);
+        let indent = margin + head.len() + 1;
+        wrap(std::iter::once(head).chain(flags), margin, indent)
     }
 }
 
-/// Value of `--<name> VALUE` in `args`, if the flag is present.
-///
-/// A flag with a missing value — end of argv, or another `--flag` in the
-/// value position — is a hard usage error: silently swallowing it would
-/// e.g. let a CI script run `bench --check` with the baseline forgotten
-/// and never gate anything.
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        _ => {
-            eprintln!("{name} requires a value");
-            std::process::exit(2);
+/// Lay `words` out space-separated from column `col`, breaking lines
+/// before column 80 and indenting continuation lines by `indent`.
+fn wrap(words: impl IntoIterator<Item = String>, mut col: usize, indent: usize) -> String {
+    let mut out = String::new();
+    for word in words {
+        if !out.is_empty() {
+            if col + 1 + word.len() > 80 {
+                out.push('\n');
+                out.push_str(&" ".repeat(indent));
+                col = indent;
+            } else {
+                out.push(' ');
+                col += 1;
+            }
         }
+        col += word.len();
+        out.push_str(&word);
+    }
+    out
+}
+
+/// The `repro --help` text, built from the two tables.
+fn usage() -> String {
+    let mut out = format!("usage: {EXPERIMENTS_SYNOPSIS}\n");
+    for cmd in COMMANDS {
+        out += &format!("       {}\n", cmd.synopsis(7));
+    }
+    out += "       repro help | --help\n\nexperiments (default: all):\n  ";
+    let names = EXPERIMENTS
+        .iter()
+        .map(|Experiment(name, ..)| name.to_string());
+    out += &wrap(names.chain(["all".to_string()]), 2, 2);
+    out + "\n"
+}
+
+/// A subcommand's arguments, checked against its flag table.
+struct Args {
+    spec: &'static str,
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Parse `argv` against the flag `spec`, rejecting unknown flags, repeated
+    /// flags, missing values and positional arguments.
+    fn parse(spec: &'static str, argv: &[String]) -> Result<Args, String> {
+        let mut given: Vec<(&'static str, Option<String>)> = Vec::new();
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            let Some((name, value)) = flags(spec).find(|(name, _)| name == arg) else {
+                return Err(if arg.starts_with('-') {
+                    format!("unknown flag {arg}")
+                } else {
+                    format!("unexpected argument {arg}")
+                });
+            };
+            if given.iter().any(|(n, _)| *n == name) {
+                return Err(format!("{name} given twice"));
+            }
+            // A flag in the value position means the value was forgotten:
+            // taking the flag as the value would e.g. let a CI script run
+            // `bench --check` with the baseline missing and gate nothing.
+            let value = match value {
+                None => None,
+                Some(_) => match argv.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => return Err(format!("{name} requires a value")),
+                },
+            };
+            given.push((name, value));
+        }
+        Ok(Args { spec, given })
+    }
+
+    fn lookup(&self, name: &str) -> Option<&Option<String>> {
+        debug_assert!(
+            flags(self.spec).any(|(n, _)| n == name),
+            "{name} is not in the command's flag table"
+        );
+        self.given.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+
+    /// Whether switch (or value flag) `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.lookup(name).is_some()
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.lookup(name)?.as_deref()
+    }
+
+    /// `name`'s value through `parse`; a value it rejects is a usage error
+    /// saying the flag `wants` something else.
+    fn parse_with<T>(
+        &self,
+        name: &str,
+        wants: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| parse(v).ok_or_else(|| format!("{name} wants {wants}, got {v}")))
+            .transpose()
+    }
+
+    fn num<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.parse_with(name, "a number", |v| v.parse().ok())
+    }
+
+    /// A count of workers, jobs, slots, ...: a zero is almost always a
+    /// typo'd or miscomputed script variable, and running an empty workload
+    /// "successfully" would hide it.
+    fn count<T: FromStr + Default + PartialEq>(&self, name: &str) -> Result<Option<T>, String> {
+        match self.num(name)? {
+            Some(n) if n == T::default() => Err(format!("{name} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// A positive finite real, `default` when absent.
+    fn positive(&self, name: &str, default: f64) -> Result<f64, String> {
+        match self.num(name)?.unwrap_or(default) {
+            v if v.is_finite() && v > 0.0 => Ok(v),
+            _ => Err(format!("{name} must be a positive finite number")),
+        }
+    }
+
+    /// Reject any of `flags` unless `allowed`: a mode-specific flag
+    /// silently ignored in the wrong mode would report results for the
+    /// wrong workload.
+    fn only_with(&self, flags: &[&str], allowed: bool, mode: &str) -> Result<(), String> {
+        match flags.iter().find(|f| !allowed && self.has(f)) {
+            Some(flag) => Err(format!("{flag} only applies to {mode}")),
+            None => Ok(()),
+        }
+    }
+
+    /// `--policy {flowcon,na}`: the node-level policy (default FlowCon).
+    fn node_policy(&self) -> Result<PolicyKind, String> {
+        let policy = self.parse_with("--policy", "flowcon or na", |v| match v {
+            "flowcon" => Some(PolicyKind::FlowCon(FlowConConfig::default())),
+            "na" => Some(PolicyKind::Baseline),
+            _ => None,
+        })?;
+        Ok(policy.unwrap_or(PolicyKind::FlowCon(FlowConConfig::default())))
+    }
+
+    /// The `--file PATH | --synthetic NAME` choice `trace` and `stream`
+    /// both require exactly one of.
+    fn file_or_synthetic(&self) -> Result<(Option<&str>, Option<&str>), String> {
+        let (file, synthetic) = (self.value("--file"), self.value("--synthetic"));
+        if file.is_some() == synthetic.is_some() {
+            return Err("exactly one of --file PATH or --synthetic NAME is required".into());
+        }
+        Ok((file, synthetic))
     }
 }
 
-/// `repro bench [--out FILE] [--check BASELINE]`: run the micro-suite,
-/// print a table, write the machine-readable trajectory file, and — with
-/// `--check` — gate the fresh numbers against a committed baseline.
-fn run_bench(args: &[String]) {
-    let out_path =
-        flag_value(args, "--out").unwrap_or_else(|| format!("BENCH_{}.json", perf::today_utc()));
+// ---------------------------------------------------------------------------
+// The experiment table
+// ---------------------------------------------------------------------------
+
+const EXPERIMENTS_SYNOPSIS: &str = "repro [EXPERIMENT ...]";
+
+/// A paper experiment: its name, whether `all` runs it, and its body.
+/// Paired figures (fig8, fig11, fig14, fig16) print alongside their
+/// partner, so `all` skips them.
+struct Experiment(&'static str, bool, fn());
+
+/// In `all` order.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment("table1", true, table1),
+    Experiment("fig1", true, run_fig1),
+    Experiment("fig3", true, || {
+        fixed_sweep("Fig. 3 (alpha=5%, itval sweep)", fixed::fig3, "fig3")
+    }),
+    Experiment("fig4", true, || {
+        fixed_sweep("Fig. 4 (alpha=10%, itval sweep)", fixed::fig4, "fig4")
+    }),
+    Experiment("fig5", true, || {
+        fixed_sweep("Fig. 5 (itval=20, alpha sweep)", fixed::fig5, "fig5")
+    }),
+    Experiment("fig6", true, || {
+        fixed_sweep("Fig. 6 (itval=30, alpha sweep)", fixed::fig6, "fig6")
+    }),
+    Experiment("table2", true, table2),
+    Experiment("fig7", true, fig7_fig8),
+    Experiment("fig8", false, fig7_fig8),
+    Experiment("fig9", true, fig9),
+    Experiment("fig10", true, fig10_fig11),
+    Experiment("fig11", false, fig10_fig11),
+    Experiment("fig12", true, || fig12_fig15_fig16(false)),
+    Experiment("fig13", true, fig13_fig14),
+    Experiment("fig14", false, fig13_fig14),
+    Experiment("fig15", true, || fig12_fig15_fig16(true)),
+    Experiment("fig16", false, || fig12_fig15_fig16(true)),
+    Experiment("fig17", true, fig17),
+    Experiment("ablation-backoff", true, ablation_backoff),
+    Experiment("ablation-beta", true, ablation_beta),
+    Experiment("ablation-kappa", true, ablation_kappa),
+    Experiment("ablation-policies", true, ablation_policies),
+    Experiment("ablation-resource", true, ablation_resource),
+];
+
+/// `repro [EXPERIMENT ...]`: every name is resolved before anything runs,
+/// so a typo runs nothing.  `all` anywhere (or no name) runs the lot.
+fn run_experiments(names: &[String]) -> Outcome {
+    let find = |name: &str| EXPERIMENTS.iter().find(|Experiment(n, ..)| *n == name);
+    if let Some(bad) = names.iter().find(|n| *n != "all" && find(n).is_none()) {
+        return Err(format!("unknown experiment or command {bad}"));
+    }
+    let wanted: Vec<&Experiment> = if names.is_empty() || names.iter().any(|n| n == "all") {
+        EXPERIMENTS
+            .iter()
+            .filter(|Experiment(_, in_all, _)| *in_all)
+            .collect()
+    } else {
+        names.iter().filter_map(|n| find(n)).collect()
+    };
+    for Experiment(_, _, run) in wanted {
+        run();
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+// ---------------------------------------------------------------------------
+// Subcommands
+// ---------------------------------------------------------------------------
+
+/// `repro bench`: run the micro-suite, print a table, write the
+/// machine-readable trajectory file, and — with `--check` — gate the fresh
+/// numbers against a committed baseline.
+fn run_bench(args: &Args) -> Outcome {
+    let today = perf::today_utc();
+    let out_path = args
+        .value("--out")
+        .map_or_else(|| format!("BENCH_{today}.json"), str::to_string);
     // Resolve (and stat) the baseline up front: a bad gate invocation must
     // fail before the suite spends its ~15 s, not after.
-    let check_path = flag_value(args, "--check");
-    if let Some(p) = &check_path {
-        if !std::path::Path::new(p).is_file() {
-            eprintln!("cannot read baseline {p}: not a file");
-            std::process::exit(2);
-        }
+    let check_path = args.value("--check");
+    if let Some(p) = check_path.filter(|p| !std::path::Path::new(p).is_file()) {
+        return Err(format!("cannot read baseline {p}: not a file"));
     }
     let mode = if cfg!(debug_assertions) {
         "debug"
@@ -343,10 +550,7 @@ fn run_bench(args: &[String]) {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        text_table(&["benchmark", "ns/op", "allocs/op", "events/s"], &rows)
-    );
+    print_table(&["benchmark", "ns/op", "allocs/op", "events/s"], &rows);
 
     // Headline ratios at n=64: warm scratch vs the seed (v0) allocator and
     // vs today's cold allocating wrapper.
@@ -365,38 +569,25 @@ fn run_bench(args: &[String]) {
         }
     }
 
-    let json = perf::to_json(&results, &perf::today_utc(), mode);
-    match flowcon_metrics::export::write_artifact(&out_path, &json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-
-    if let Some(baseline_path) = check_path {
-        check_gate(&results, &baseline_path, mode);
+    write_artifact(&out_path, &perf::to_json(&results, &today, mode))?;
+    println!("wrote {out_path}");
+    match check_path {
+        Some(baseline_path) => check_gate(&results, baseline_path, mode),
+        None => Ok(ExitCode::SUCCESS),
     }
 }
 
 /// The CI perf gate: compare fresh results against `baseline_path`, print
-/// the verdict, and exit non-zero on any violation.
-fn check_gate(results: &[perf::PerfResult], baseline_path: &str, mode: &str) {
+/// the verdict, and exit 1 on any violation.
+fn check_gate(results: &[perf::PerfResult], baseline_path: &str, mode: &str) -> Outcome {
     section(&format!("Bench regression gate vs {baseline_path}"));
     if mode != "release" {
         eprintln!("warning: gating {mode} numbers against a committed (release) baseline");
     }
-    let doc = match std::fs::read_to_string(baseline_path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let Some(baseline) = perf::parse_results(&doc) else {
-        eprintln!("{baseline_path} is not a flowcon-bench/v1 document");
-        std::process::exit(2);
-    };
+    let doc = std::fs::read_to_string(baseline_path)
+        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
+    let baseline = perf::parse_results(&doc)
+        .ok_or_else(|| format!("{baseline_path} is not a flowcon-bench/v1 document"))?;
     let violations = perf::check_regression(results, &baseline);
     if violations.is_empty() {
         println!(
@@ -405,57 +596,49 @@ fn check_gate(results: &[perf::PerfResult], baseline_path: &str, mode: &str) {
             100.0 * perf::ALLOCS_REGRESSION_TOLERANCE,
             baseline.len()
         );
-    } else {
-        for v in &violations {
-            eprintln!("REGRESSION: {v}");
-        }
-        eprintln!("bench gate FAILED with {} violation(s)", violations.len());
-        std::process::exit(1);
+        return Ok(ExitCode::SUCCESS);
     }
+    for v in &violations {
+        eprintln!("REGRESSION: {v}");
+    }
+    eprintln!("bench gate FAILED with {} violation(s)", violations.len());
+    Ok(ExitCode::from(1))
 }
 
-/// `repro cluster [--workers N] [--jobs J] [--seed S] [--headless]`: one
-/// sharded cluster run — N workers on at most `available_parallelism` OS
-/// threads.
+/// `repro cluster`: one sharded cluster run — N workers on at most
+/// `available_parallelism` OS threads.
 ///
 /// Defaults (2 jobs/worker, plan seed [`perf::CLUSTER_BENCH_PLAN_SEED`],
 /// node seed [`perf::CLUSTER_BENCH_NODE_SEED`]) replicate the
 /// `cluster/sharded/w<N>` (or, with `--headless`, `cluster/headless/w<N>`)
 /// bench case exactly, so any committed `BENCH_*.json` point can be
 /// reproduced by hand; `--seed` reseeds the workload plan.
-fn run_cluster(args: &[String]) {
-    use flowcon_cluster::{executor, ClusterSession, PolicyKind};
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
+fn run_cluster(args: &Args) -> Outcome {
+    use flowcon_cluster::executor;
     use flowcon_core::recorder::FullRecorder;
-    use flowcon_dl::workload::WorkloadPlan;
     use flowcon_metrics::summary::makespan_over;
 
-    let parse_num = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers").unwrap_or(1024) as usize;
-    let jobs = parse_num("--jobs").unwrap_or(2 * workers as u64) as usize;
-    let seed = parse_num("--seed").unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
-    let headless = args.iter().any(|a| a == "--headless");
-    // A zero is almost always a typo'd or miscomputed script variable;
-    // running an empty cluster "successfully" would hide it.
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    if jobs == 0 {
-        eprintln!("--jobs must be at least 1: an empty plan simulates nothing");
-        std::process::exit(2);
-    }
-    let queue = parse_queue_kind(args, headless);
+    let workers: usize = args.count("--workers")?.unwrap_or(1024);
+    let jobs: usize = args.count("--jobs")?.unwrap_or(2 * workers);
+    let seed = args.num("--seed")?.unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
+    let headless = args.has("--headless");
+    // `--queue` picks the dense path's event queue; accepting it on a
+    // recorded run would misreport what was measured.
+    args.only_with(&["--queue"], headless, "--headless runs")?;
+    let queue = args
+        .parse_with("--queue", "heap or calendar", QueueKind::parse)?
+        .unwrap_or_default();
 
     let shards = executor::shard_count(workers);
-    let mode = if headless { "headless" } else { "full" };
+    let (mode, recorder, queue_name) = if headless {
+        (
+            "headless",
+            "CompletionsOnly",
+            format!("{queue:?}").to_lowercase(),
+        )
+    } else {
+        ("full", "FullRecorder", "-".into())
+    };
     section(&format!(
         "Sharded cluster ({mode}): {workers} workers, {jobs} jobs, {shards} OS threads"
     ));
@@ -489,63 +672,20 @@ fn run_cluster(args: &[String]) {
         (result.placements.len(), completed, makespan, events)
     };
     let wall = start.elapsed();
-
-    let rows = vec![
-        vec!["workers".to_string(), workers.to_string()],
-        vec![
-            "recorder".to_string(),
-            if headless {
-                "CompletionsOnly"
-            } else {
-                "FullRecorder"
-            }
-            .to_string(),
-        ],
-        vec![
-            "event queue".to_string(),
-            if headless {
-                format!("{queue:?}").to_lowercase()
-            } else {
-                "-".into()
-            },
-        ],
-        vec!["OS threads (shards)".to_string(), shards.to_string()],
-        vec!["jobs placed".to_string(), placed.to_string()],
-        vec!["jobs completed".to_string(), completed.to_string()],
-        vec![
-            "cluster makespan (sim s)".to_string(),
-            format!("{makespan:.1}"),
-        ],
-        vec!["events processed".to_string(), events.to_string()],
-        vec![
-            "wall time (ms)".to_string(),
-            format!("{:.1}", wall.as_secs_f64() * 1e3),
-        ],
-        vec![
-            "events/s (wall)".to_string(),
-            format!("{:.0}", events as f64 / wall.as_secs_f64()),
-        ],
-    ];
-    print!("{}", text_table(&["metric", "value"], &rows));
-}
-
-/// Parse `--queue {heap,calendar}` (default heap).  The flag selects the
-/// dense path's event-queue implementation, so it only makes sense on a
-/// headless run — silently ignoring it elsewhere would misreport what was
-/// measured.
-fn parse_queue_kind(args: &[String], headless: bool) -> flowcon_cluster::QueueKind {
-    use flowcon_cluster::QueueKind;
-    if !headless && args.iter().any(|a| a == "--queue") {
-        eprintln!("--queue only applies to --headless runs (the dense path owns the event queue)");
-        std::process::exit(2);
-    }
-    match flag_value(args, "--queue") {
-        None => QueueKind::default(),
-        Some(v) => QueueKind::parse(&v).unwrap_or_else(|| {
-            eprintln!("--queue wants heap or calendar, got {v}");
-            std::process::exit(2);
-        }),
-    }
+    let events_per_sec = events as f64 / wall.as_secs_f64();
+    print_metrics(&[
+        ("workers", workers.to_string()),
+        ("recorder", recorder.into()),
+        ("event queue", queue_name),
+        ("OS threads (shards)", shards.to_string()),
+        ("jobs placed", placed.to_string()),
+        ("jobs completed", completed.to_string()),
+        ("cluster makespan (sim s)", format!("{makespan:.1}")),
+        ("events processed", events.to_string()),
+        ("wall time (ms)", format!("{:.1}", wall.as_secs_f64() * 1e3)),
+        ("events/s (wall)", format!("{events_per_sec:.0}")),
+    ]);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Peak resident set size in kiB (`VmHWM` from `/proc/self/status`), or
@@ -556,40 +696,23 @@ fn peak_rss_kib() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// `repro profile [--workers N] [--jobs J] [--seed S] [--queue Q]`: the
-/// density harness — one headless cluster run clocked per stage (plan
-/// build, placement, simulation), with allocation counts from the counting
-/// allocator and peak RSS from the kernel.
+/// `repro profile`: the density harness — one headless cluster run
+/// clocked per stage (plan build, placement, simulation), with allocation
+/// counts from the counting allocator and peak RSS from the kernel.
 ///
 /// Defaults match `repro cluster --headless` (2 jobs/worker, the committed
 /// bench seeds) at 100k workers, so the printed numbers line up with the
 /// `cluster/headless/w100000` bench row.
-fn run_profile(args: &[String]) {
-    use flowcon_cluster::{executor, ClusterSession, PolicyKind};
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
-    use flowcon_dl::workload::WorkloadPlan;
+fn run_profile(args: &Args) -> Outcome {
+    use flowcon_cluster::executor;
     use std::time::Instant;
 
-    let parse_num = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers").unwrap_or(100_000) as usize;
-    let jobs = parse_num("--jobs").unwrap_or(2 * workers as u64) as usize;
-    let seed = parse_num("--seed").unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    if jobs == 0 {
-        eprintln!("--jobs must be at least 1: an empty plan simulates nothing");
-        std::process::exit(2);
-    }
-    let queue = parse_queue_kind(args, true);
+    let workers: usize = args.count("--workers")?.unwrap_or(100_000);
+    let jobs: usize = args.count("--jobs")?.unwrap_or(2 * workers);
+    let seed = args.num("--seed")?.unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
+    let queue = args
+        .parse_with("--queue", "heap or calendar", QueueKind::parse)?
+        .unwrap_or_default();
 
     let shards = executor::shard_count(workers);
     section(&format!(
@@ -642,94 +765,59 @@ fn run_profile(args: &[String]) {
         ]
     })
     .collect();
-    print!(
-        "{}",
-        text_table(
-            &["stage", "time (ms)", "allocs", "allocs/worker"],
-            &stage_rows
-        )
+    print_table(
+        &["stage", "time (ms)", "allocs", "allocs/worker"],
+        &stage_rows,
     );
 
     let events = run.events_processed();
-    let rows = vec![
-        vec![
-            "jobs completed".to_string(),
-            run.completed_jobs().to_string(),
-        ],
-        vec!["events processed".to_string(), events.to_string()],
-        vec![
-            "events/s (wall)".to_string(),
-            format!("{:.0}", events as f64 / sim_secs),
-        ],
-        vec![
-            // The ISSUE-6 acceptance number: the marginal cluster cost —
-            // placement + simulation, the plan is the caller's input.
-            "allocs/worker (place + simulate)".to_string(),
-            format!("{:.2}", per_worker(place_allocs + sim_allocs)),
-        ],
-        vec![
-            "peak RSS (MiB)".to_string(),
-            peak_rss_kib().map_or("-".into(), |kib| format!("{:.1}", kib as f64 / 1024.0)),
-        ],
-    ];
-    print!("{}", text_table(&["metric", "value"], &rows));
+    // allocs/worker bills the marginal cluster cost — placement +
+    // simulation; the plan is the caller's input.
+    let marginal = per_worker(place_allocs + sim_allocs);
+    let events_per_sec = events as f64 / sim_secs;
+    let rss = peak_rss_kib().map_or("-".into(), |kib| format!("{:.1}", kib as f64 / 1024.0));
+    print_metrics(&[
+        ("jobs completed", run.completed_jobs().to_string()),
+        ("events processed", events.to_string()),
+        ("events/s (wall)", format!("{events_per_sec:.0}")),
+        ("allocs/worker (place + simulate)", format!("{marginal:.2}")),
+        ("peak RSS (MiB)", rss),
+    ]);
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Read, parse and bind the arrival trace at `path` through `catalog`.
+fn bind_trace(path: &str, catalog: TraceCatalog) -> Result<BoundTrace, String> {
+    let doc =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
+    let trace = ArrivalTrace::parse(&doc).map_err(|e| format!("{path}: {e}"))?;
+    catalog.bind(&trace).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Write a recorder's timeline to `path` as Chrome trace-event JSON.
+fn export_trace(path: &str, events: &[TraceEvent], dropped: u64) -> Result<(), String> {
+    write_artifact(path, &tracelog::chrome_trace_json(events, dropped))?;
+    println!(
+        "wrote {} trace events ({dropped} dropped) to {path}",
+        events.len()
+    );
+    Ok(())
 }
 
 /// `repro trace`: replay an arrival-trace file or a synthetic arrival
 /// process end to end (see the module docs for the flags).
-fn run_trace(args: &[String]) {
+fn run_trace(args: &Args) -> Outcome {
     use flowcon_bench::experiments::trace as exp;
-    use flowcon_cluster::PolicyKind;
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
-    use flowcon_workload::{ArrivalTrace, BoundTrace, SyntheticSource, TraceCatalog, TraceSource};
+    use flowcon_workload::{SyntheticSource, TraceSource};
 
-    let file = flag_value(args, "--file");
-    let synthetic = flag_value(args, "--synthetic");
-    if file.is_some() == synthetic.is_some() {
-        eprintln!(
-            "trace wants exactly one of --file PATH or --synthetic {{poisson,bursty,diurnal}}"
-        );
-        std::process::exit(2);
-    }
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let parse_f64 = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<f64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 1) as usize;
-    let seed = parse_num("--seed", flowcon_bench::experiments::DEFAULT_SEED);
-    let emit = flag_value(args, "--emit");
-    let policy = match flag_value(args, "--policy").as_deref() {
-        None | Some("flowcon") => PolicyKind::FlowCon(FlowConConfig::default()),
-        Some("na") => PolicyKind::Baseline,
-        Some(other) => {
-            eprintln!("--policy wants flowcon or na, got {other}");
-            std::process::exit(2);
-        }
-    };
-    // Mode-specific flags are hard errors in the wrong mode: silently
-    // ignoring `--compress` would report results for the wrong workload.
-    let only_with = |flag: &str, mode: &str, allowed: bool| {
-        if !allowed && args.iter().any(|a| a == flag) {
-            eprintln!("{flag} only applies to {mode} workloads");
-            std::process::exit(2);
-        }
-    };
-    only_with("--thin", "--file", file.is_some());
-    only_with("--compress", "--file", file.is_some());
-    only_with("--jobs", "--synthetic", synthetic.is_some());
-    only_with("--rate", "--synthetic", synthetic.is_some());
+    let (file, synthetic) = args.file_or_synthetic()?;
+    let workers: usize = args.count("--workers")?.unwrap_or(1);
+    let seed = args.num("--seed")?.unwrap_or(DEFAULT_SEED);
+    let emit = args.value("--emit");
+    let policy = args.node_policy()?;
+    let (by_file, by_synthetic) = (file.is_some(), synthetic.is_some());
+    args.only_with(&["--thin", "--compress"], by_file, "--file workloads")?;
+    args.only_with(&["--jobs", "--rate"], by_synthetic, "--synthetic workloads")?;
     // Cluster replays are headless: bind without labels so streaming a
     // 10k-worker cluster allocates no label strings.  Emission always
     // keeps labels — a transformed trace must not lose its job ids.
@@ -741,70 +829,45 @@ fn run_trace(args: &[String]) {
         File(BoundTrace),
         Synthetic(flowcon_workload::Synthetic),
     }
-    let (what, load) = if let Some(path) = &file {
-        let doc = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read trace {path}: {e}");
-            std::process::exit(2);
-        });
-        let trace = match ArrivalTrace::parse(&doc) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        };
+    let (what, load) = if let Some(path) = file {
         let mut catalog = TraceCatalog::table1();
-        if let Some(keep) = parse_f64("--thin") {
+        if let Some(keep) = args.num("--thin")? {
             catalog = catalog.thin(keep, seed);
         }
-        if let Some(factor) = parse_f64("--compress") {
+        if let Some(factor) = args.num("--compress")? {
             catalog = catalog.compress(factor);
         }
         if !labeled {
             catalog = catalog.unlabeled();
         }
-        match catalog.bind(&trace) {
-            Ok(b) => (format!("trace {path}"), Load::File(b)),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let bound = bind_trace(path, catalog)?;
+        (format!("trace {path}"), Load::File(bound))
     } else {
-        let jobs = parse_num("--jobs", 50) as usize;
-        let rate = parse_f64("--rate").unwrap_or(0.1);
-        let name = synthetic.as_deref().expect("checked above");
-        let Some(template) = exp::preset(name, rate, jobs, seed) else {
-            eprintln!("--synthetic wants poisson, bursty or diurnal, got {name}");
-            std::process::exit(2);
-        };
+        let jobs = args.count("--jobs")?.unwrap_or(50);
+        let rate = args.num("--rate")?.unwrap_or(0.1);
+        let name = synthetic.expect("checked above");
+        let template = exp::preset(name, rate, jobs, seed)
+            .ok_or_else(|| format!("--synthetic wants poisson, bursty or diurnal, got {name}"))?;
         (
             format!("synthetic {name} (rate {rate}/s)"),
             Load::Synthetic(template),
         )
     };
+    let bound = |load: &Load| match load {
+        Load::File(bound) => bound.clone(),
+        Load::Synthetic(template) => BoundTrace::from_plan(template.plan()),
+    };
 
     if let Some(path) = emit {
-        let bound = match &load {
-            Load::File(bound) => bound.clone(),
-            Load::Synthetic(template) => BoundTrace::from_plan(template.plan()),
-        };
-        match flowcon_metrics::export::write_artifact(&path, &bound.to_jsonl()) {
-            Ok(()) => println!("wrote {} arrivals to {path}", bound.len()),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-        return;
+        let bound = bound(&load);
+        write_artifact(path, &bound.to_jsonl())?;
+        println!("wrote {} arrivals to {path}", bound.len());
+        return Ok(ExitCode::SUCCESS);
     }
 
     let node = NodeConfig::default().with_seed(seed);
     if workers == 1 {
-        let bound = match &load {
-            Load::File(bound) => bound.clone(),
-            Load::Synthetic(template) => BoundTrace::from_plan(template.plan()),
-        };
+        let bound = bound(&load);
         section(&format!(
             "Trace replay: {what}, 1 worker, {} jobs",
             bound.len()
@@ -825,152 +888,252 @@ fn run_trace(args: &[String]) {
             result.events_processed,
             wall.as_secs_f64() * 1e3
         );
+        return Ok(ExitCode::SUCCESS);
+    }
+    section(&format!(
+        "Trace replay: {what}, {workers}-worker headless cluster"
+    ));
+    let start = std::time::Instant::now();
+    let run = match load {
+        Load::File(bound) => {
+            let source = TraceSource::new(bound, workers);
+            exp::replay_cluster(&source, workers, node, policy)
+        }
+        Load::Synthetic(template) => {
+            // Synthetic cluster mode streams independent per-worker
+            // plans: --jobs becomes jobs per worker.
+            let source =
+                SyntheticSource::new(template.process, template.jobs, template.seed).unlabeled();
+            exp::replay_cluster(&source, workers, node, policy)
+        }
+    };
+    let wall = start.elapsed();
+    let makespan = run.makespan_secs();
+    let mean = run
+        .mean_completion_secs()
+        .map_or("-".into(), |m| format!("{m:.1}"));
+    print_metrics(&[
+        ("workers", workers.to_string()),
+        ("jobs completed", run.completed_jobs().to_string()),
+        ("cluster makespan (sim s)", format!("{makespan:.1}")),
+        ("mean completion (sim s)", mean),
+        ("events processed", run.events_processed().to_string()),
+        ("wall time (ms)", format!("{:.1}", wall.as_secs_f64() * 1e3)),
+    ]);
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `repro stream`: run an open-loop arrival stream end to end (see the
+/// module docs for the flags).
+fn run_stream(args: &Args) -> Outcome {
+    use flowcon_bench::experiments::stream as exp;
+    use flowcon_cluster::{DynStreamSource, Horizon, TraceStreamSource};
+    use flowcon_sim::time::SimTime;
+
+    let (file, synthetic) = args.file_or_synthetic()?;
+    let workers: usize = args.count("--workers")?.unwrap_or(1);
+    let seed = args.num("--seed")?.unwrap_or(DEFAULT_SEED);
+    let policy = args.node_policy()?;
+    args.only_with(&["--rate"], synthetic.is_some(), "--synthetic workloads")?;
+    args.only_with(&["--cycle", "--hints"], file.is_some(), "--file workloads")?;
+
+    // The horizon: --until (admission window, simulated seconds) and/or
+    // --jobs (per-worker admission cap).  An unbounded open-loop run
+    // would never terminate, so at least one is mandatory.
+    let until: Option<f64> = args.num("--until")?;
+    let max_jobs = args.count("--jobs")?;
+    if until.is_none() && max_jobs.is_none() {
+        return Err("stream needs a horizon: --until SECS and/or --jobs N".into());
+    }
+    let horizon = Horizon {
+        until: until.map(SimTime::from_secs_f64),
+        max_jobs,
+    };
+    // Cluster streams run headless (accepting the flag explicitly too);
+    // a single worker records the full paper traces.
+    let headless = workers > 1 || args.has("--headless");
+    // The structured tracer rides the full-observability session; the
+    // headless cluster path has no per-job identity to trace against.
+    let trace_out = args.value("--trace-out");
+    args.only_with(
+        &["--trace-out"],
+        !headless,
+        "the single-worker full-observability run (use --workers 1 and drop --headless)",
+    )?;
+
+    let (what, source): (String, Box<dyn DynStreamSource>) = if let Some(name) = synthetic {
+        let rate = args.num("--rate")?.unwrap_or(exp::DEFAULT_STREAM_RATE);
+        let mut src = exp::stream_preset(name, rate, seed)
+            .ok_or_else(|| format!("--synthetic wants poisson, bursty or diurnal, got {name}"))?;
+        if headless {
+            src = src.unlabeled();
+        }
+        (
+            format!("synthetic {name} ({rate}/s per worker)"),
+            Box::new(src),
+        )
     } else {
-        section(&format!(
-            "Trace replay: {what}, {workers}-worker headless cluster"
-        ));
-        let start = std::time::Instant::now();
-        let run = match load {
-            Load::File(bound) => {
-                let source = TraceSource::new(bound, workers);
-                exp::replay_cluster(&source, workers, node, policy)
+        let path = file.expect("checked above");
+        let mut catalog = TraceCatalog::table1();
+        if args.has("--hints") {
+            catalog = catalog.with_duration_hints();
+        }
+        if headless {
+            catalog = catalog.unlabeled();
+        }
+        let mut src = TraceStreamSource::new(bind_trace(path, catalog)?, workers);
+        let mut what = format!("trace {path}");
+        if args.has("--cycle") {
+            src = src.cyclic();
+            what.push_str(" (cyclic)");
+        }
+        (what, Box::new(src))
+    };
+
+    let node = NodeConfig::default().with_seed(seed);
+    let describe_horizon = {
+        let mut parts = Vec::new();
+        if let Some(t) = horizon.until {
+            parts.push(format!("until {t}"));
+        }
+        if let Some(n) = horizon.max_jobs {
+            parts.push(format!("{n} jobs/worker"));
+        }
+        parts.join(", ")
+    };
+
+    let start = std::time::Instant::now();
+    let (totals, events, full) = if workers == 1 && !headless {
+        let stream = source.dyn_stream_for(0);
+        let result = match trace_out {
+            Some(path) => {
+                let mut recorder = FlightRecorder::with_capacity(DEFAULT_CAPACITY);
+                let result =
+                    exp::stream_session_traced(stream, horizon, node, policy, &mut recorder);
+                export_trace(path, &recorder.events(), recorder.dropped())?;
+                result
             }
-            Load::Synthetic(template) => {
-                // Synthetic cluster mode streams independent per-worker
-                // plans: --jobs becomes jobs per worker.
-                let source = SyntheticSource::new(template.process, template.jobs, template.seed)
-                    .unlabeled();
-                exp::replay_cluster(&source, workers, node, policy)
-            }
+            None => exp::stream_session(stream, horizon, node, policy),
         };
-        let wall = start.elapsed();
-        let rows = vec![
-            vec!["workers".to_string(), workers.to_string()],
-            vec![
-                "jobs completed".to_string(),
-                run.completed_jobs().to_string(),
-            ],
-            vec![
-                "cluster makespan (sim s)".to_string(),
-                format!("{:.1}", run.makespan_secs()),
-            ],
-            vec![
-                "mean completion (sim s)".to_string(),
-                run.mean_completion_secs()
-                    .map_or("-".into(), |m| format!("{m:.1}")),
-            ],
-            vec![
-                "events processed".to_string(),
-                run.events_processed().to_string(),
-            ],
-            vec![
-                "wall time (ms)".to_string(),
-                format!("{:.1}", wall.as_secs_f64() * 1e3),
-            ],
-        ];
-        print!("{}", text_table(&["metric", "value"], &rows));
+        (result.stream, result.events_processed, Some(result.output))
+    } else {
+        let run = exp::stream_cluster(&*source, workers, horizon, node, policy);
+        (run.stream_totals(), run.events_processed(), None)
+    };
+    let wall = start.elapsed();
+
+    section(&format!(
+        "Open-loop stream: {what}, {workers} worker{}, {describe_horizon}",
+        if workers == 1 { "" } else { "s" }
+    ));
+    if let Some(summary) = &full {
+        // List completions positionally, not by label lookup: a cyclic
+        // replay legitimately admits the same label several times, and a
+        // by-label table would repeat the first instance's time.
+        let rows: Vec<Vec<String>> = summary
+            .completions
+            .iter()
+            .map(|c| {
+                vec![
+                    c.label.clone(),
+                    format!("{:.1}", c.arrival.as_secs_f64()),
+                    format!("{:.1}", c.completion_secs()),
+                ]
+            })
+            .collect();
+        print_table(
+            &["job (exit order)", "arrival (s)", "completion (s)"],
+            &rows,
+        );
+    }
+    print_stream_stats(&totals, events, wall);
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The scheduler workload `sched`, `frontier` and `timeline` share:
+/// `--workers --jobs --seed --slots --quantum --policy`.
+struct SchedWorkload {
+    workers: usize,
+    jobs: usize,
+    seed: u64,
+    slots: usize,
+    quantum: f64,
+    policy: SchedPolicyKind,
+}
+
+impl SchedWorkload {
+    /// Parse the shared flags; `--jobs` defaults to `jobs_per_node` per
+    /// node.
+    fn parse(args: &Args, jobs_per_node: usize) -> Result<Self, String> {
+        let workers = args.count("--workers")?.unwrap_or(16);
+        Ok(SchedWorkload {
+            workers,
+            jobs: args.count("--jobs")?.unwrap_or(jobs_per_node * workers),
+            seed: args.num("--seed")?.unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED),
+            slots: args.count("--slots")?.unwrap_or(2),
+            quantum: args.positive("--quantum", 10.0)?,
+            policy: args
+                .parse_with(
+                    "--policy",
+                    "fifo, gandiva or tiresias",
+                    SchedPolicyKind::parse,
+                )?
+                .unwrap_or(SchedPolicyKind::Fifo),
+        })
+    }
+
+    /// Every discipline under `--compare`, else the `--policy` one.
+    fn kinds(&self, compare: bool) -> Vec<SchedPolicyKind> {
+        if compare {
+            SchedPolicyKind::ALL.to_vec()
+        } else {
+            vec![self.policy]
+        }
+    }
+
+    /// A scheduled session of this workload under discipline `kind`.
+    fn session(&self, kind: SchedPolicyKind) -> ClusterSessionBuilder<'static, Sched> {
+        let node = NodeConfig::default().with_seed(perf::CLUSTER_BENCH_NODE_SEED);
+        ClusterSession::builder()
+            .nodes(self.workers, node)
+            .policy(PolicyKind::FlowCon(FlowConConfig::default()))
+            .plan(WorkloadPlan::random_n(self.jobs, self.seed))
+            .scheduler(kind)
+            .quantum(SimDuration::from_secs_f64(self.quantum))
+            .slots_per_node(self.slots)
     }
 }
 
-/// `repro sched [--policy P] [--compare] ...`: run the online cluster
-/// scheduler over a seeded random workload and print the per-policy
-/// outcome table (see the module docs for the flags).
-fn run_sched_cmd(args: &[String]) {
-    use flowcon_cluster::{ClusterSession, PolicyKind, SchedPolicyKind};
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
-    use flowcon_dl::workload::WorkloadPlan;
-    use flowcon_sim::time::SimDuration;
-
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 16) as usize;
-    let jobs = parse_num("--jobs", 4 * workers as u64) as usize;
-    let seed = parse_num("--seed", perf::CLUSTER_BENCH_PLAN_SEED);
-    let slots = parse_num("--slots", 2) as usize;
-    let quantum = flag_value(args, "--quantum").map_or(10.0, |v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("--quantum wants seconds, got {v}");
-            std::process::exit(2);
-        })
-    });
-    let sequential = args.iter().any(|a| a == "--sequential");
-    let compare = args.iter().any(|a| a == "--compare");
-    let trace_out = flag_value(args, "--trace-out");
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    if jobs == 0 {
-        eprintln!("--jobs must be at least 1: an empty workload schedules nothing");
-        std::process::exit(2);
-    }
-    if quantum <= 0.0 {
-        eprintln!("--quantum must be positive");
-        std::process::exit(2);
-    }
-    if slots == 0 {
-        eprintln!("--slots must be at least 1: a node needs a job slot");
-        std::process::exit(2);
-    }
+/// `repro sched`: run the online cluster scheduler over a seeded random
+/// workload and print the per-policy outcome table (see the module docs
+/// for the flags).
+fn run_sched(args: &Args) -> Outcome {
+    let w = SchedWorkload::parse(args, 4)?;
+    let compare = args.has("--compare");
+    let trace_out = args.value("--trace-out");
     if trace_out.is_some() && compare {
-        eprintln!("--trace-out records one run's timeline; drop --compare or pick one --policy");
-        std::process::exit(2);
+        return Err(
+            "--trace-out records one run's timeline; drop --compare or pick one --policy".into(),
+        );
     }
-    let kinds: Vec<SchedPolicyKind> = if compare {
-        SchedPolicyKind::ALL.to_vec()
-    } else {
-        let name = flag_value(args, "--policy").unwrap_or_else(|| "fifo".into());
-        match SchedPolicyKind::parse(&name) {
-            Some(kind) => vec![kind],
-            None => {
-                eprintln!("--policy wants fifo, gandiva or tiresias, got {name}");
-                std::process::exit(2);
-            }
-        }
-    };
-
     section(&format!(
-        "Online cluster scheduler: {workers} nodes x {slots} slots, {jobs} jobs, {quantum:.0}s quantum"
+        "Online cluster scheduler: {} nodes x {} slots, {} jobs, {:.0}s quantum",
+        w.workers, w.slots, w.jobs, w.quantum
     ));
-    let plan = WorkloadPlan::random_n(jobs, seed);
-    let node = NodeConfig::default().with_seed(perf::CLUSTER_BENCH_NODE_SEED);
-    let rows: Vec<Vec<String>> = kinds
-        .iter()
-        .map(|&kind| {
-            let builder = ClusterSession::builder()
-                .nodes(workers, node)
-                .policy(PolicyKind::FlowCon(FlowConConfig::default()))
-                .plan(plan.clone())
-                .scheduler(kind)
-                .quantum(SimDuration::from_secs_f64(quantum))
-                .slots_per_node(slots)
-                .sequential(sequential);
-            let out = match &trace_out {
+    let sequential = args.has("--sequential");
+    let rows = w
+        .kinds(compare)
+        .into_iter()
+        .map(|kind| {
+            let builder = w.session(kind).sequential(sequential);
+            let out = match trace_out {
                 None => builder.build().run(),
                 Some(path) => {
-                    use flowcon_metrics::tracelog;
-                    use flowcon_sim::trace::{FlightRecorder, DEFAULT_CAPACITY};
                     let (out, recorder) = builder
                         .tracer(FlightRecorder::with_capacity(DEFAULT_CAPACITY))
                         .build()
                         .run_traced();
-                    let events = recorder.events();
-                    let doc = tracelog::chrome_trace_json(&events, recorder.dropped());
-                    if let Err(e) = flowcon_metrics::export::write_artifact(path, &doc) {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                    println!(
-                        "wrote {} trace events ({} dropped) to {path}",
-                        events.len(),
-                        recorder.dropped()
-                    );
+                    export_trace(path, &recorder.events(), recorder.dropped())?;
                     out
                 }
             };
@@ -983,7 +1146,7 @@ fn run_sched_cmd(args: &[String]) {
             // Every column is simulated-time derived, so the table is
             // bit-identical across runs — the determinism the acceptance
             // check diffs on.
-            vec![
+            Ok(vec![
                 out.policy.to_string(),
                 format!("{:.1}", out.makespan_secs()),
                 format!("{:.1}", out.mean_queueing_delay_secs()),
@@ -995,28 +1158,26 @@ fn run_sched_cmd(args: &[String]) {
                 format!("{:.3}", out.stream.mean_queue_depth()),
                 tail_cell(&out.sojourn_percentiles()),
                 tail_cell(&out.queue_wait_percentiles()),
-            ]
+            ])
         })
-        .collect();
-    print!(
-        "{}",
-        text_table(
-            &[
-                "policy",
-                "makespan (s)",
-                "mean q-delay (s)",
-                "done",
-                "preempt",
-                "migrate",
-                "rounds",
-                "util",
-                "mean depth",
-                "sojourn p50/p95/p99 (s)",
-                "q-wait p50/p95/p99 (s)"
-            ],
-            &rows
-        )
+        .collect::<Result<Vec<_>, String>>()?;
+    print_table(
+        &[
+            "policy",
+            "makespan (s)",
+            "mean q-delay (s)",
+            "done",
+            "preempt",
+            "migrate",
+            "rounds",
+            "util",
+            "mean depth",
+            "sojourn p50/p95/p99 (s)",
+            "q-wait p50/p95/p99 (s)",
+        ],
+        &rows,
     );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Render a p50/p95/p99 triple as one compact table cell.
@@ -1024,107 +1185,60 @@ fn tail_cell(p: &flowcon_metrics::sojourn::Percentiles) -> String {
     format!("{:.1}/{:.1}/{:.1}", p.p50, p.p95, p.p99)
 }
 
-/// `repro frontier [--policy P | --compare] [--rates R1,R2,..] ...`:
-/// sweep offered arrival rate per policy up to the stability frontier and
-/// print p50/p95/p99 sojourn vs. load (see the module docs for the
-/// flags).
-fn run_frontier(args: &[String]) {
-    use flowcon_bench::experiments::frontier;
-    use flowcon_cluster::SchedPolicyKind;
-    use flowcon_sim::time::SimDuration;
+/// `--rates R1,R2,...`: a non-empty, strictly increasing list of positive
+/// rates.  Anything else is a script bug that would silently sweep
+/// garbage (a descending ladder "finds" the frontier at its first rung).
+fn parse_rates(list: &str) -> Result<Vec<f64>, String> {
+    let rates = list
+        .split(',')
+        .filter(|s| !s.trim().is_empty())
+        .map(|s| {
+            s.trim()
+                .parse::<f64>()
+                .map_err(|_| format!("--rates wants comma-separated jobs/s values, got {s:?}"))
+        })
+        .collect::<Result<Vec<f64>, String>>()?;
+    if rates.is_empty() {
+        return Err("--rates must name at least one offered rate (jobs/s)".into());
+    }
+    if rates.iter().any(|&r| !r.is_finite() || r <= 0.0) {
+        return Err(format!("--rates must be positive finite rates, got {list}"));
+    }
+    if rates.windows(2).any(|w| w[1] <= w[0]) {
+        return Err(format!(
+            "--rates must be strictly increasing (the sweep climbs the ladder and \
+             early-stops at saturation), got {list}"
+        ));
+    }
+    Ok(rates)
+}
 
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 16) as usize;
-    let jobs = parse_num("--jobs", 16 * workers as u64) as usize;
-    let seed = parse_num("--seed", perf::CLUSTER_BENCH_PLAN_SEED);
-    let slots = parse_num("--slots", 2) as usize;
-    let quantum = flag_value(args, "--quantum").map_or(10.0, |v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("--quantum wants seconds, got {v}");
-            std::process::exit(2);
-        })
-    });
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    if jobs == 0 {
-        eprintln!("--jobs must be at least 1: a zero-job rung measures nothing");
-        std::process::exit(2);
-    }
-    if quantum <= 0.0 {
-        eprintln!("--quantum must be positive");
-        std::process::exit(2);
-    }
-    if slots == 0 {
-        eprintln!("--slots must be at least 1: a node needs a job slot");
-        std::process::exit(2);
-    }
+/// `repro frontier`: sweep offered arrival rate per policy up to the
+/// stability frontier and print p50/p95/p99 sojourn vs. load (see the
+/// module docs for the flags).
+fn run_frontier(args: &Args) -> Outcome {
+    use flowcon_bench::experiments::frontier;
+
+    let w = SchedWorkload::parse(args, 16)?;
     let config = frontier::FrontierConfig {
-        nodes: workers,
-        slots_per_node: slots,
-        jobs,
-        seed,
-        quantum: SimDuration::from_secs_f64(quantum),
+        nodes: w.workers,
+        slots_per_node: w.slots,
+        jobs: w.jobs,
+        seed: w.seed,
+        quantum: SimDuration::from_secs_f64(w.quantum),
     };
-    // The rate ladder: explicit `--rates R1,R2,...` must be a non-empty,
-    // strictly increasing list of positive rates — anything else is a
-    // script bug that would silently sweep garbage (a descending ladder
-    // "finds" the frontier at its first rung).
-    let rates: Vec<f64> = match flag_value(args, "--rates") {
+    let rates = match args.value("--rates") {
         None => frontier::default_ladder(&config),
-        Some(list) => {
-            let rates: Vec<f64> = list
-                .split(',')
-                .filter(|s| !s.trim().is_empty())
-                .map(|s| {
-                    s.trim().parse::<f64>().unwrap_or_else(|_| {
-                        eprintln!("--rates wants comma-separated jobs/s values, got {s:?}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect();
-            if rates.is_empty() {
-                eprintln!("--rates must name at least one offered rate (jobs/s)");
-                std::process::exit(2);
-            }
-            if rates.iter().any(|&r| !r.is_finite() || r <= 0.0) {
-                eprintln!("--rates must be positive finite rates, got {list}");
-                std::process::exit(2);
-            }
-            if rates.windows(2).any(|w| w[1] <= w[0]) {
-                eprintln!(
-                    "--rates must be strictly increasing (the sweep climbs the ladder and \
-                     early-stops at saturation), got {list}"
-                );
-                std::process::exit(2);
-            }
-            rates
-        }
+        Some(list) => parse_rates(list)?,
     };
-    let compare = args.iter().any(|a| a == "--compare");
-    let kinds: Vec<SchedPolicyKind> = if compare {
-        SchedPolicyKind::ALL.to_vec()
-    } else {
-        let name = flag_value(args, "--policy").unwrap_or_else(|| "fifo".into());
-        match SchedPolicyKind::parse(&name) {
-            Some(kind) => vec![kind],
-            None => {
-                eprintln!("--policy wants fifo, gandiva or tiresias, got {name}");
-                std::process::exit(2);
-            }
-        }
-    };
+    let kinds = w.kinds(args.has("--compare"));
 
     section(&format!(
-        "Capacity frontier: {workers} nodes x {slots} slots, {jobs} jobs/rung, {quantum:.0}s quantum, {} rung ladder",
+        "Capacity frontier: {} nodes x {} slots, {} jobs/rung, {:.0}s quantum, {} rung ladder",
+        w.workers,
+        w.slots,
+        w.jobs,
+        w.quantum,
         rates.len()
     ));
     let mut curves = Vec::with_capacity(kinds.len());
@@ -1146,132 +1260,63 @@ fn run_frontier(args: &[String]) {
             })
             .collect();
         println!("policy: {}", curve.policy);
-        print!(
-            "{}",
-            text_table(
-                &[
-                    "offered (jobs/s)",
-                    "completed (jobs/s)",
-                    "util",
-                    "mean depth",
-                    "sojourn p50/p95/p99 (s)",
-                    "q-wait p50/p95/p99 (s)",
-                    "verdict"
-                ],
-                &rows
-            )
+        print_table(
+            &[
+                "offered (jobs/s)",
+                "completed (jobs/s)",
+                "util",
+                "mean depth",
+                "sojourn p50/p95/p99 (s)",
+                "q-wait p50/p95/p99 (s)",
+                "verdict",
+            ],
+            &rows,
         );
-        match (curve.last_stable_rate(), curve.frontier_rate()) {
+        let frontier = match (curve.last_stable_rate(), curve.frontier_rate()) {
             (Some(lo), Some(hi)) => {
-                println!(
-                    "stability frontier: between {lo:.4} and {hi:.4} jobs/s ({:.2}x bracket)",
+                format!(
+                    "between {lo:.4} and {hi:.4} jobs/s ({:.2}x bracket)",
                     hi / lo
                 )
             }
-            (Some(lo), None) => {
-                println!("stability frontier: above {lo:.4} jobs/s (ladder exhausted while stable)")
-            }
-            (None, Some(hi)) => {
-                println!("stability frontier: below {hi:.4} jobs/s (first rung already saturated)")
-            }
-            (None, None) => println!("stability frontier: no rungs ran"),
-        }
+            (Some(lo), None) => format!("above {lo:.4} jobs/s (ladder exhausted while stable)"),
+            (None, Some(hi)) => format!("below {hi:.4} jobs/s (first rung already saturated)"),
+            (None, None) => "no rungs ran".into(),
+        };
+        println!("stability frontier: {frontier}");
         curves.push(curve);
     }
-    if let Some(path) = flag_value(args, "--emit") {
+    if let Some(path) = args.value("--emit") {
         let doc = frontier::curves_jsonl(&curves);
-        match flowcon_metrics::export::write_artifact(&path, &doc) {
-            Ok(()) => println!("wrote {} curve points to {path}", doc.lines().count()),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+        write_artifact(path, &doc)?;
+        println!("wrote {} curve points to {path}", doc.lines().count());
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `repro timeline`: run one scheduler workload with the flight recorder
 /// attached and export the merged timeline as Chrome trace-event JSON
 /// (Perfetto-loadable; see the module docs for the flags).
-fn run_timeline(args: &[String]) {
-    use flowcon_cluster::{ClusterSession, PolicyKind, SchedPolicyKind};
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
-    use flowcon_dl::workload::WorkloadPlan;
-    use flowcon_metrics::tracelog;
-    use flowcon_sim::time::SimDuration;
-    use flowcon_sim::trace::{FlightRecorder, DEFAULT_CAPACITY};
-
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 16) as usize;
-    let jobs = parse_num("--jobs", 4 * workers as u64) as usize;
-    let seed = parse_num("--seed", perf::CLUSTER_BENCH_PLAN_SEED);
-    let slots = parse_num("--slots", 2) as usize;
-    let capacity = parse_num("--capacity", DEFAULT_CAPACITY as u64) as usize;
-    let quantum = flag_value(args, "--quantum").map_or(10.0, |v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("--quantum wants seconds, got {v}");
-            std::process::exit(2);
-        })
-    });
-    let sequential = args.iter().any(|a| a == "--sequential");
-    let summary = args.iter().any(|a| a == "--summary");
-    let out = flag_value(args, "--out");
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    if jobs == 0 {
-        eprintln!("--jobs must be at least 1: an empty workload traces nothing");
-        std::process::exit(2);
-    }
-    if quantum <= 0.0 {
-        eprintln!("--quantum must be positive");
-        std::process::exit(2);
-    }
-    if slots == 0 {
-        eprintln!("--slots must be at least 1: a node needs a job slot");
-        std::process::exit(2);
-    }
-    if capacity == 0 {
-        eprintln!("--capacity must be at least 1: a zero-capacity ring records nothing");
-        std::process::exit(2);
-    }
-    let kind = {
-        let name = flag_value(args, "--policy").unwrap_or_else(|| "fifo".into());
-        match SchedPolicyKind::parse(&name) {
-            Some(kind) => kind,
-            None => {
-                eprintln!("--policy wants fifo, gandiva or tiresias, got {name}");
-                std::process::exit(2);
-            }
-        }
-    };
+fn run_timeline(args: &Args) -> Outcome {
+    let w = SchedWorkload::parse(args, 4)?;
+    let capacity = args.count("--capacity")?.unwrap_or(DEFAULT_CAPACITY);
+    let out = args.value("--out");
 
     // Without --out the JSON document owns stdout (pipeable straight into
     // a file or a viewer), so the banner and any summary go to stderr.
     if out.is_some() {
         section(&format!(
-            "Timeline: {} on {workers} nodes x {slots} slots, {jobs} jobs, {quantum:.0}s quantum",
-            kind.name()
+            "Timeline: {} on {} nodes x {} slots, {} jobs, {:.0}s quantum",
+            w.policy.name(),
+            w.workers,
+            w.slots,
+            w.jobs,
+            w.quantum
         ));
     }
-    let plan = WorkloadPlan::random_n(jobs, seed);
-    let node = NodeConfig::default().with_seed(perf::CLUSTER_BENCH_NODE_SEED);
-    let (outcome, recorder) = ClusterSession::builder()
-        .nodes(workers, node)
-        .policy(PolicyKind::FlowCon(FlowConConfig::default()))
-        .plan(plan)
-        .scheduler(kind)
-        .quantum(SimDuration::from_secs_f64(quantum))
-        .slots_per_node(slots)
-        .sequential(sequential)
+    let (outcome, recorder) = w
+        .session(w.policy)
+        .sequential(args.has("--sequential"))
         .tracer(FlightRecorder::with_capacity(capacity))
         .build()
         .run_traced();
@@ -1282,22 +1327,14 @@ fn run_timeline(args: &[String]) {
         outcome.policy
     );
     let events = recorder.events();
-    let doc = tracelog::chrome_trace_json(&events, recorder.dropped());
-    match &out {
-        Some(path) => {
-            if let Err(e) = flowcon_metrics::export::write_artifact(path, &doc) {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-            println!(
-                "wrote {} trace events ({} dropped) to {path}",
-                events.len(),
-                recorder.dropped()
-            );
-        }
-        None => print!("{doc}"),
+    match out {
+        Some(path) => export_trace(path, &events, recorder.dropped())?,
+        None => print!(
+            "{}",
+            tracelog::chrome_trace_json(&events, recorder.dropped())
+        ),
     }
-    if summary {
+    if args.has("--summary") {
         let rows: Vec<Vec<String>> = tracelog::kind_counts(&events)
             .into_iter()
             .filter(|(_, n)| *n > 0)
@@ -1324,288 +1361,45 @@ fn run_timeline(args: &[String]) {
             eprint!("{table}");
         }
     }
-}
-
-/// `repro stream`: run an open-loop arrival stream end to end (see the
-/// module docs for the flags).
-fn run_stream(args: &[String]) {
-    use flowcon_bench::experiments::stream as exp;
-    use flowcon_cluster::{Horizon, PolicyKind, StreamSource, TraceStreamSource};
-    use flowcon_core::config::{FlowConConfig, NodeConfig};
-    use flowcon_sim::time::SimTime;
-    use flowcon_workload::{ArrivalTrace, TraceCatalog};
-
-    let file = flag_value(args, "--file");
-    let synthetic = flag_value(args, "--synthetic");
-    if file.is_some() == synthetic.is_some() {
-        eprintln!(
-            "stream wants exactly one of --file PATH or --synthetic {{poisson,bursty,diurnal}}"
-        );
-        std::process::exit(2);
-    }
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let parse_f64 = |name: &str| {
-        flag_value(args, name).map(|v| {
-            v.parse::<f64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 1) as usize;
-    if workers == 0 {
-        eprintln!("--workers must be at least 1: a cluster with no workers cannot run jobs");
-        std::process::exit(2);
-    }
-    let seed = parse_num("--seed", flowcon_bench::experiments::DEFAULT_SEED);
-    let policy = match flag_value(args, "--policy").as_deref() {
-        None | Some("flowcon") => PolicyKind::FlowCon(FlowConConfig::default()),
-        Some("na") => PolicyKind::Baseline,
-        Some(other) => {
-            eprintln!("--policy wants flowcon or na, got {other}");
-            std::process::exit(2);
-        }
-    };
-    // Mode-specific flags are hard errors in the wrong mode.
-    let only_with = |flag: &str, mode: &str, allowed: bool| {
-        if !allowed && args.iter().any(|a| a == flag) {
-            eprintln!("{flag} only applies to {mode} workloads");
-            std::process::exit(2);
-        }
-    };
-    only_with("--rate", "--synthetic", synthetic.is_some());
-    only_with("--cycle", "--file", file.is_some());
-    only_with("--hints", "--file", file.is_some());
-
-    // The horizon: --until (admission window, simulated seconds) and/or
-    // --jobs (per-worker admission cap).  An unbounded open-loop run
-    // would never terminate, so at least one is mandatory.
-    let until = parse_f64("--until");
-    let max_jobs = flag_value(args, "--jobs").map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("--jobs wants a number, got {v}");
-            std::process::exit(2);
-        })
-    });
-    // `--jobs 0` would "run" a stream that admits nothing — a degenerate
-    // horizon that is always a script bug, never a workload.
-    if max_jobs == Some(0) {
-        eprintln!("--jobs must be at least 1: a zero-job horizon admits nothing");
-        std::process::exit(2);
-    }
-    if until.is_none() && max_jobs.is_none() {
-        eprintln!("stream needs a horizon: --until SECS and/or --jobs N");
-        std::process::exit(2);
-    }
-    let horizon = Horizon {
-        until: until.map(SimTime::from_secs_f64),
-        max_jobs,
-    };
-    // Cluster streams run headless (accepting the flag explicitly too);
-    // a single worker records the full paper traces.
-    let headless = workers > 1 || args.iter().any(|a| a == "--headless");
-    // The structured tracer rides the full-observability session; the
-    // headless cluster path has no per-job identity to trace against.
-    let trace_out = flag_value(args, "--trace-out");
-    if trace_out.is_some() && headless {
-        eprintln!(
-            "--trace-out only applies to the single-worker full-observability run \
-             (use --workers 1 and drop --headless)"
-        );
-        std::process::exit(2);
-    }
-
-    // Resolve the stream source.
-    enum Source {
-        Synthetic(flowcon_workload::SyntheticStreamSource),
-        Trace(TraceStreamSource),
-    }
-    let (what, source) = if let Some(name) = &synthetic {
-        let rate = parse_f64("--rate").unwrap_or(exp::DEFAULT_STREAM_RATE);
-        let Some(mut src) = exp::stream_preset(name, rate, seed) else {
-            eprintln!("--synthetic wants poisson, bursty or diurnal, got {name}");
-            std::process::exit(2);
-        };
-        if headless {
-            src = src.unlabeled();
-        }
-        (
-            format!("synthetic {name} ({rate}/s per worker)"),
-            Source::Synthetic(src),
-        )
-    } else {
-        let path = file.as_deref().expect("checked above");
-        let doc = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read trace {path}: {e}");
-            std::process::exit(2);
-        });
-        let trace = match ArrivalTrace::parse(&doc) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let mut catalog = TraceCatalog::table1();
-        if args.iter().any(|a| a == "--hints") {
-            catalog = catalog.with_duration_hints();
-        }
-        if headless {
-            catalog = catalog.unlabeled();
-        }
-        let bound = match catalog.bind(&trace) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let mut src = TraceStreamSource::new(bound, workers);
-        let mut what = format!("trace {path}");
-        if args.iter().any(|a| a == "--cycle") {
-            src = src.cyclic();
-            what.push_str(" (cyclic)");
-        }
-        (what, Source::Trace(src))
-    };
-
-    let node = NodeConfig::default().with_seed(seed);
-    let describe_horizon = {
-        let mut parts = Vec::new();
-        if let Some(t) = horizon.until {
-            parts.push(format!("until {t}"));
-        }
-        if let Some(n) = horizon.max_jobs {
-            parts.push(format!("{n} jobs/worker"));
-        }
-        parts.join(", ")
-    };
-
-    let start = std::time::Instant::now();
-    let (totals, events, full) = if workers == 1 && !headless {
-        let result = if let Some(path) = &trace_out {
-            use flowcon_metrics::tracelog;
-            use flowcon_sim::trace::{FlightRecorder, DEFAULT_CAPACITY};
-            let mut recorder = FlightRecorder::with_capacity(DEFAULT_CAPACITY);
-            let result = match source {
-                Source::Synthetic(src) => exp::stream_session_traced(
-                    src.stream_for(0),
-                    horizon,
-                    node,
-                    policy,
-                    &mut recorder,
-                ),
-                Source::Trace(src) => exp::stream_session_traced(
-                    src.stream_for(0),
-                    horizon,
-                    node,
-                    policy,
-                    &mut recorder,
-                ),
-            };
-            let trace_events = recorder.events();
-            let doc = tracelog::chrome_trace_json(&trace_events, recorder.dropped());
-            if let Err(e) = flowcon_metrics::export::write_artifact(path, &doc) {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-            println!(
-                "wrote {} trace events ({} dropped) to {path}",
-                trace_events.len(),
-                recorder.dropped()
-            );
-            result
-        } else {
-            match source {
-                Source::Synthetic(src) => {
-                    exp::stream_session(src.stream_for(0), horizon, node, policy)
-                }
-                Source::Trace(src) => exp::stream_session(src.stream_for(0), horizon, node, policy),
-            }
-        };
-        (result.stream, result.events_processed, Some(result.output))
-    } else {
-        let run = match source {
-            Source::Synthetic(src) => exp::stream_cluster(&src, workers, horizon, node, policy),
-            Source::Trace(src) => exp::stream_cluster(&src, workers, horizon, node, policy),
-        };
-        (run.stream_totals(), run.events_processed(), None)
-    };
-    let wall = start.elapsed();
-
-    section(&format!(
-        "Open-loop stream: {what}, {workers} worker{}, {describe_horizon}",
-        if workers == 1 { "" } else { "s" }
-    ));
-    if let Some(summary) = &full {
-        // List completions positionally, not by label lookup: a cyclic
-        // replay legitimately admits the same label several times, and a
-        // by-label table would repeat the first instance's time.
-        let rows: Vec<Vec<String>> = summary
-            .completions
-            .iter()
-            .map(|c| {
-                vec![
-                    c.label.clone(),
-                    format!("{:.1}", c.arrival.as_secs_f64()),
-                    format!("{:.1}", c.completion_secs()),
-                ]
-            })
-            .collect();
-        print!(
-            "{}",
-            text_table(
-                &["job (exit order)", "arrival (s)", "completion (s)"],
-                &rows
-            )
-        );
-    }
-    print!("{}", stream_stats_table(&totals, events, wall));
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The steady-state metrics table every `repro stream` mode prints.
-fn stream_stats_table(
+fn print_stream_stats(
     s: &flowcon_metrics::stream::StreamStats,
     events: u64,
     wall: std::time::Duration,
-) -> String {
-    let rows = vec![
-        vec!["jobs submitted".to_string(), s.submitted.to_string()],
-        vec!["jobs completed".to_string(), s.completed.to_string()],
-        vec![
-            "run duration (sim s)".to_string(),
-            format!("{:.1}", s.duration_secs),
-        ],
-        vec![
-            "arrival rate (jobs/s)".to_string(),
-            format!("{:.4}", s.arrival_rate()),
-        ],
-        vec![
-            "completion rate (jobs/s)".to_string(),
+) {
+    print_metrics(&[
+        ("jobs submitted", s.submitted.to_string()),
+        ("jobs completed", s.completed.to_string()),
+        ("run duration (sim s)", format!("{:.1}", s.duration_secs)),
+        ("arrival rate (jobs/s)", format!("{:.4}", s.arrival_rate())),
+        (
+            "completion rate (jobs/s)",
             format!("{:.4}", s.completion_rate()),
-        ],
-        vec![
-            "mean queue depth (jobs)".to_string(),
+        ),
+        (
+            "mean queue depth (jobs)",
             format!("{:.3}", s.mean_queue_depth()),
-        ],
-        vec![
-            "utilization".to_string(),
-            format!("{:.1}%", 100.0 * s.utilization()),
-        ],
-        vec!["events processed".to_string(), events.to_string()],
-        vec![
-            "wall time (ms)".to_string(),
-            format!("{:.1}", wall.as_secs_f64() * 1e3),
-        ],
-    ];
-    text_table(&["metric", "value"], &rows)
+        ),
+        ("utilization", format!("{:.1}%", 100.0 * s.utilization())),
+        ("events processed", events.to_string()),
+        ("wall time (ms)", format!("{:.1}", wall.as_secs_f64() * 1e3)),
+    ])
+}
+
+/// Print a two-column `metric | value` table.
+fn print_metrics(rows: &[(&str, String)]) {
+    let rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|(metric, value)| vec![metric.to_string(), value.clone()])
+        .collect();
+    print_table(&["metric", "value"], &rows);
+}
+
+fn print_table(header: &[&str], rows: &[Vec<String>]) {
+    print!("{}", text_table(header, rows));
 }
 
 fn table1() {
@@ -1623,18 +1417,15 @@ fn table1() {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        text_table(
-            &[
-                "Model",
-                "Eval. Function",
-                "Platform",
-                "Work (cpu-s)",
-                "Demand"
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "Model",
+            "Eval. Function",
+            "Platform",
+            "Work (cpu-s)",
+            "Demand",
+        ],
+        &rows,
     );
 }
 
@@ -1658,18 +1449,16 @@ fn run_fig1() {
             &to_csv(&["model", "time_frac", "accuracy"], &csv_rows),
         );
     }
-    print!(
-        "{}",
-        text_table(&["Model", "time to 90% of final accuracy"], &rows)
-    );
+    print_table(&["Model", "time to 90% of final accuracy"], &rows);
     println!(
         "(makespan {:.1}s; CSVs under target/experiments/)",
         fig.makespan_secs
     );
 }
 
-fn fixed_sweep(title: &str, sweep: fixed::FixedSweep, file: &str) {
+fn fixed_sweep(title: &str, sweep: fn(NodeConfig) -> fixed::FixedSweep, file: &str) {
     section(title);
+    let sweep = sweep(default_node());
     let labels: Vec<String> = sweep
         .baseline
         .completions
@@ -1698,17 +1487,14 @@ fn table2() {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        text_table(
-            &[
-                "alpha,itval (Fig.4)",
-                "Reduction",
-                "alpha,itval (Fig.5)",
-                "Reduction"
-            ],
-            &rows
-        )
+    print_table(
+        &[
+            "alpha,itval (Fig.4)",
+            "Reduction",
+            "alpha,itval (Fig.5)",
+            "Reduction",
+        ],
+        &rows,
     );
     let csv_rows: Vec<Vec<String>> = fig4_col
         .iter()
@@ -1828,23 +1614,20 @@ fn fig17() {
 fn ablation_backoff() {
     section("Ablation: exponential back-off");
     let ab = ablation::backoff(default_node());
-    print!(
-        "{}",
-        text_table(
-            &["variant", "algorithm runs", "makespan (s)"],
-            &[
-                vec![
-                    "back-off on".into(),
-                    ab.runs_with.to_string(),
-                    format!("{:.1}", ab.makespan_with)
-                ],
-                vec![
-                    "back-off off".into(),
-                    ab.runs_without.to_string(),
-                    format!("{:.1}", ab.makespan_without)
-                ],
-            ]
-        )
+    print_table(
+        &["variant", "algorithm runs", "makespan (s)"],
+        &[
+            vec![
+                "back-off on".into(),
+                ab.runs_with.to_string(),
+                format!("{:.1}", ab.makespan_with),
+            ],
+            vec![
+                "back-off off".into(),
+                ab.runs_without.to_string(),
+                format!("{:.1}", ab.makespan_without),
+            ],
+        ],
     );
 }
 
@@ -1861,12 +1644,9 @@ fn ablation_beta() {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        text_table(
-            &["beta", "makespan (s)", "worst per-job reduction"],
-            &table_rows
-        )
+    print_table(
+        &["beta", "makespan (s)", "worst per-job reduction"],
+        &table_rows,
     );
 }
 
@@ -1899,12 +1679,9 @@ fn ablation_resource() {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        text_table(
-            &["driving resource", "makespan (s)", "wins vs NA"],
-            &table_rows
-        )
+    print_table(
+        &["driving resource", "makespan (s)", "wins vs NA"],
+        &table_rows,
     );
 }
 
@@ -1917,59 +1694,29 @@ fn ablation_policies() {
             vec![name.clone(), format!("{makespan:.1}"), format!("{mean:.1}")]
         })
         .collect();
-    print!(
-        "{}",
-        text_table(
-            &["policy", "makespan (s)", "mean completion (s)"],
-            &table_rows
-        )
+    print_table(
+        &["policy", "makespan (s)", "mean completion (s)"],
+        &table_rows,
     );
 }
 
-/// `repro fidelity [--workers N] [--jobs J] [--seed S] [--dilation D]
-/// [--chaos {straggler,churn}] [--emit PATH]`: run the identical seeded
-/// workload through the fluid simulation and the wall-clock rt backend,
-/// align per-job records, report the divergence, and exit 2 on tolerance
-/// breach (see the module docs).
-fn run_fidelity(args: &[String]) {
+/// `repro fidelity`: run the identical seeded workload through the fluid
+/// simulation and the wall-clock rt backend, align per-job records, report
+/// the divergence, and exit 2 on tolerance breach (see the module docs).
+fn run_fidelity(args: &Args) -> Outcome {
     use flowcon_bench::experiments::fidelity::{self, ChaosKind, FidelityConfig};
-    use flowcon_metrics::export::JsonValue;
+    use flowcon_metrics::export::JsonValue::{Bool, Int, Num, Str};
     use flowcon_metrics::fidelity::FidelityTolerance;
 
-    let parse_num = |name: &str, default: u64| {
-        flag_value(args, name).map_or(default, |v| {
-            v.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("{name} wants a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workers = parse_num("--workers", 2) as u32;
-    let jobs = parse_num("--jobs", 8) as usize;
-    let seed = parse_num("--seed", DEFAULT_SEED);
-    let dilation = flag_value(args, "--dilation").map_or(400.0, |v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("--dilation wants sim-seconds per wall second, got {v}");
-            std::process::exit(2);
-        })
-    });
-    let chaos = match flag_value(args, "--chaos").as_deref() {
-        None => None,
-        Some("straggler") => Some(ChaosKind::Straggler),
-        Some("churn") => Some(ChaosKind::Churn),
-        Some(other) => {
-            eprintln!("unknown chaos scenario {other}; expected straggler or churn");
-            std::process::exit(2);
-        }
-    };
-    if workers == 0 || jobs == 0 {
-        eprintln!("--workers and --jobs must both be at least 1");
-        std::process::exit(2);
-    }
-    if !(dilation.is_finite() && dilation > 0.0) {
-        eprintln!("--dilation must be a positive finite number");
-        std::process::exit(2);
-    }
+    let workers: u32 = args.count("--workers")?.unwrap_or(2);
+    let jobs: usize = args.count("--jobs")?.unwrap_or(8);
+    let seed = args.num("--seed")?.unwrap_or(DEFAULT_SEED);
+    let dilation = args.positive("--dilation", 400.0)?;
+    let chaos = args.parse_with("--chaos", "straggler or churn", |v| match v {
+        "straggler" => Some(ChaosKind::Straggler),
+        "churn" => Some(ChaosKind::Churn),
+        _ => None,
+    })?;
 
     let config = FidelityConfig {
         workers,
@@ -2056,61 +1803,39 @@ fn run_fidelity(args: &[String]) {
         eprintln!("tolerance breach: {v}");
     }
 
-    if let Some(path) = flag_value(args, "--emit") {
-        let record: Vec<(&str, JsonValue)> = vec![
-            ("experiment", JsonValue::Str("fidelity".into())),
-            ("policy", JsonValue::Str(outcome.policy.clone())),
-            ("workers", JsonValue::Int(workers as u64)),
-            ("jobs", JsonValue::Int(jobs as u64)),
-            ("seed", JsonValue::Int(seed)),
-            ("dilation", JsonValue::Num(dilation)),
-            ("chaos", JsonValue::Str(chaos_name.into())),
-            (
-                "completion_set_equal",
-                JsonValue::Bool(report.completion_set_equal),
-            ),
-            (
-                "reference_jobs",
-                JsonValue::Int(report.reference_jobs as u64),
-            ),
-            (
-                "candidate_jobs",
-                JsonValue::Int(report.candidate_jobs as u64),
-            ),
-            ("matched", JsonValue::Int(report.matched as u64)),
+    if let Some(path) = args.value("--emit") {
+        let record: Vec<(&str, flowcon_metrics::export::JsonValue)> = vec![
+            ("experiment", Str("fidelity".into())),
+            ("policy", Str(outcome.policy.clone())),
+            ("workers", Int(u64::from(workers))),
+            ("jobs", Int(jobs as u64)),
+            ("seed", Int(seed)),
+            ("dilation", Num(dilation)),
+            ("chaos", Str(chaos_name.into())),
+            ("completion_set_equal", Bool(report.completion_set_equal)),
+            ("reference_jobs", Int(report.reference_jobs as u64)),
+            ("candidate_jobs", Int(report.candidate_jobs as u64)),
+            ("matched", Int(report.matched as u64)),
             (
                 "order_edit_distance",
-                JsonValue::Int(report.order_edit_distance as u64),
+                Int(report.order_edit_distance as u64),
             ),
-            ("sojourn_ratio_p50", JsonValue::Num(p50)),
-            ("sojourn_ratio_p95", JsonValue::Num(p95)),
-            ("sojourn_ratio_p99", JsonValue::Num(p99)),
-            ("sojourn_ratio_min", JsonValue::Num(rmin)),
-            ("sojourn_ratio_max", JsonValue::Num(rmax)),
-            (
-                "makespan_sim_secs",
-                JsonValue::Num(report.makespan_reference),
-            ),
-            (
-                "makespan_rt_secs",
-                JsonValue::Num(report.makespan_candidate),
-            ),
-            ("makespan_ratio", JsonValue::Num(report.makespan_ratio())),
-            ("divergent", JsonValue::Bool(report.divergent())),
-            ("violations", JsonValue::Int(violations.len() as u64)),
+            ("sojourn_ratio_p50", Num(p50)),
+            ("sojourn_ratio_p95", Num(p95)),
+            ("sojourn_ratio_p99", Num(p99)),
+            ("sojourn_ratio_min", Num(rmin)),
+            ("sojourn_ratio_max", Num(rmax)),
+            ("makespan_sim_secs", Num(report.makespan_reference)),
+            ("makespan_rt_secs", Num(report.makespan_candidate)),
+            ("makespan_ratio", Num(report.makespan_ratio())),
+            ("divergent", Bool(report.divergent())),
+            ("violations", Int(violations.len() as u64)),
         ];
         let doc = flowcon_metrics::export::to_jsonl([record.as_slice()]);
-        match flowcon_metrics::export::write_artifact(&path, &doc) {
-            Ok(()) => println!("wrote fidelity report to {path}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+        write_artifact(path, &doc)?;
+        println!("wrote fidelity report to {path}");
     }
 
     let code = report.exit_code(&tolerance, chaos.is_some());
-    if code != 0 {
-        std::process::exit(code);
-    }
+    Ok(ExitCode::from(u8::try_from(code).unwrap_or(1)))
 }
