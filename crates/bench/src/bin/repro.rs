@@ -393,9 +393,10 @@ impl Args {
         self.parse_with(name, "a number", |v| v.parse().ok())
     }
 
-    /// A count of workers, jobs, slots, ...: a zero is almost always a
-    /// typo'd or miscomputed script variable, and running an empty workload
-    /// "successfully" would hide it.
+    /// A count of workers, jobs, slots, ... (an unsigned integer, whose
+    /// `Default` is zero): a zero is almost always a typo'd or miscomputed
+    /// script variable, and running an empty workload "successfully" would
+    /// hide it.
     fn count<T: FromStr + Default + PartialEq>(&self, name: &str) -> Result<Option<T>, String> {
         match self.num(name)? {
             Some(n) if n == T::default() => Err(format!("{name} must be at least 1")),
