@@ -19,9 +19,7 @@
 //! `CompletionsOnly` recorder — no usage/limit traces, no label clones,
 //! O(completions) memory — which is the supported way to drive 10k-worker
 //! clusters (`repro cluster --workers 10240 --headless`).  Headless runs
-//! go through the dense arena path; `--queue` picks its event-queue
-//! implementation (binary heap or calendar buckets — bit-identical
-//! results, different constants).
+//! go through the dense arena path.
 //!
 //! `repro profile` is the density harness: one headless cluster run with
 //! per-stage wall time (plan build, placement, simulation), allocations
@@ -216,12 +214,12 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "cluster",
-        flags: "--workers N --jobs J --seed S --headless --queue {heap,calendar}",
+        flags: "--workers N --jobs J --seed S --headless",
         run: run_cluster,
     },
     Command {
         name: "profile",
-        flags: "--workers N --jobs J --seed S --queue {heap,calendar}",
+        flags: "--workers N --jobs J --seed S",
         run: run_profile,
     },
     Command {
@@ -623,22 +621,12 @@ fn run_cluster(args: &Args) -> Outcome {
     let jobs: usize = args.count("--jobs")?.unwrap_or(2 * workers);
     let seed = args.num("--seed")?.unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
     let headless = args.has("--headless");
-    // `--queue` picks the dense path's event queue; accepting it on a
-    // recorded run would misreport what was measured.
-    args.only_with(&["--queue"], headless, "--headless runs")?;
-    let queue = args
-        .parse_with("--queue", "heap or calendar", QueueKind::parse)?
-        .unwrap_or_default();
 
     let shards = executor::shard_count(workers);
-    let (mode, recorder, queue_name) = if headless {
-        (
-            "headless",
-            "CompletionsOnly",
-            format!("{queue:?}").to_lowercase(),
-        )
+    let (mode, recorder) = if headless {
+        ("headless", "CompletionsOnly")
     } else {
-        ("full", "FullRecorder", "-".into())
+        ("full", "FullRecorder")
     };
     section(&format!(
         "Sharded cluster ({mode}): {workers} workers, {jobs} jobs, {shards} OS threads"
@@ -654,7 +642,7 @@ fn run_cluster(args: &Args) -> Outcome {
     let start = std::time::Instant::now();
     // (placed, completed, makespan, events)
     let (placed, completed, makespan, events) = if headless {
-        let run = session().queue(queue).build().run();
+        let run = session().build().run();
         (
             run.placements.len(),
             run.completed_jobs(),
@@ -677,7 +665,6 @@ fn run_cluster(args: &Args) -> Outcome {
     print_metrics(&[
         ("workers", workers.to_string()),
         ("recorder", recorder.into()),
-        ("event queue", queue_name),
         ("OS threads (shards)", shards.to_string()),
         ("jobs placed", placed.to_string()),
         ("jobs completed", completed.to_string()),
@@ -711,14 +698,10 @@ fn run_profile(args: &Args) -> Outcome {
     let workers: usize = args.count("--workers")?.unwrap_or(100_000);
     let jobs: usize = args.count("--jobs")?.unwrap_or(2 * workers);
     let seed = args.num("--seed")?.unwrap_or(perf::CLUSTER_BENCH_PLAN_SEED);
-    let queue = args
-        .parse_with("--queue", "heap or calendar", QueueKind::parse)?
-        .unwrap_or_default();
 
     let shards = executor::shard_count(workers);
     section(&format!(
-        "Density profile: {workers} workers, {jobs} jobs, {shards} OS threads, {} queue",
-        format!("{queue:?}").to_lowercase()
+        "Density profile: {workers} workers, {jobs} jobs, {shards} OS threads"
     ));
 
     COUNTING.store(true, Ordering::Relaxed);
@@ -741,7 +724,7 @@ fn run_profile(args: &Args) -> Outcome {
     let (place_secs, place_allocs) = (t1.elapsed().as_secs_f64(), allocs() - a1);
 
     let (a2, t2) = (allocs(), Instant::now());
-    let run = placed.run(queue);
+    let run = placed.run(QueueKind::Heap);
     let (sim_secs, sim_allocs) = (t2.elapsed().as_secs_f64(), allocs() - a2);
     COUNTING.store(false, Ordering::Relaxed);
 

@@ -35,6 +35,9 @@ fn malformed_invocations_exit_2_before_running_anything() {
         "trace --synthetic poisson --compress 2",
         "stream --synthetic poisson",
         "cluster --queue calendar",
+        "cluster --headless --queue calendar",
+        "cluster --headless --queue heap",
+        "profile --queue calendar",
     ] {
         let out = repro(&line.split_whitespace().collect::<Vec<_>>());
         let stderr = String::from_utf8_lossy(&out.stderr);

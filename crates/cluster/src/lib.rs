@@ -45,7 +45,7 @@ pub use session::{
     BoxedStream, ClusterOutcome, ClusterSession, ClusterSessionBuilder, DynStreamSource, Headless,
     Recorded, Sched,
 };
-// The dense headless path's tunables, re-exported for the repro CLI.
+// Re-exported for the `flowbench` dense workload (see its doc comment).
 pub use flowcon_core::dense::QueueKind;
 pub use placement::{LeastLoaded, PlacementStrategy, RoundRobin, Spread};
 pub use policy_kind::PolicyKind;

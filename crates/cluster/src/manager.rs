@@ -1,14 +1,7 @@
 //! The dense headless cluster path, split at its placement stage.
 //!
-//! The `Manager` façade that used to live here is gone: its ten `run_*`
-//! entry points shipped one release as `#[deprecated]` shims over
-//! [`ClusterSession`](crate::session::ClusterSession) (bit-compared
-//! against the builder while they lived) and have been **removed** along
-//! with the façade itself.  The migration table in [`crate::session`]
-//! maps every removed entry point onto the builder.
-//!
-//! What remains is [`PlacedHeadless`]: a placed-but-unsimulated cluster,
-//! the stage boundary `repro profile` clocks.  Driving it yields the same
+//! [`PlacedHeadless`] is a placed-but-unsimulated cluster, the stage
+//! boundary `repro profile` clocks.  Driving it yields the same
 //! [`ClusterOutcome`] every headless run returns; [`ClusterRun`] survives
 //! only as an alias of that type.
 
@@ -44,15 +37,15 @@ pub struct PlacedHeadless {
 
 impl PlacedHeadless {
     /// Simulate every worker on the sharded executor through the dense
-    /// headless path, with the given event-queue implementation.
-    pub fn run(self, queue: QueueKind) -> ClusterOutcome<CompletionStats> {
+    /// headless path.  `_queue` is ignored (see [`QueueKind`]).
+    pub fn run(self, _queue: QueueKind) -> ClusterOutcome<CompletionStats> {
         let policy = self.policy;
         let work: Vec<(usize, NodeConfig)> = self.nodes.iter().copied().enumerate().collect();
         let flat = &self.flat[..];
         let offsets = &self.offsets[..];
         let workers = executor::map_sharded(work, DenseScratch::new, |scratch, (idx, node)| {
             let jobs = &flat[offsets[idx]..offsets[idx + 1]];
-            run_headless_dense(node, jobs, policy.build(), queue, scratch)
+            run_headless_dense(node, jobs, policy.build(), QueueKind::Heap, scratch)
         });
         ClusterOutcome {
             workers,

@@ -1,36 +1,10 @@
 //! The cluster front door: one builder covering every run mode.
 //!
-//! [`ClusterSession`] replaces the `Manager::run_*` zoo with a single
-//! fluent surface.  Configure the cluster (`nodes` / `node_configs`,
-//! `policy`, `placement`), pick exactly one workload
-//! (`plan` / `source` / `stream`), optionally switch the mode
+//! [`ClusterSession`] is a single fluent surface.  Configure the cluster
+//! (`nodes` / `node_configs`, `policy`, `placement`), pick exactly one
+//! workload (`plan` / `source` / `stream`), optionally switch the mode
 //! (`recorder` for custom observability, `scheduler` for the online
 //! cluster scheduler), then `build().run()`.
-//!
-//! # Migration from the removed `Manager`
-//!
-//! The `Manager` façade shipped one release with its entry points as
-//! `#[deprecated]` shims over this builder (bit-compared against it
-//! while they lived) and has been **removed**.  Every removed entry
-//! point maps onto the builder; `mgr` below stands for the
-//! configuration calls
-//! `ClusterSession::builder().nodes(w, node).policy(kind).placement(strategy)`:
-//!
-//! | Removed | New |
-//! |---|---|
-//! | `Manager::run(&plan)` / `run_owned(plan)` | `mgr.plan(plan).recorder(\|_\| FullRecorder::new()).build().run()` (labels: zip the plan's labels with `placements`) |
-//! | `Manager::run_recorded(plan, make)` | `mgr.plan(plan).recorder(make).build().run()` |
-//! | `Manager::run_headless(plan)` | `mgr.plan(plan).build().run()` (headless is the default mode) |
-//! | `Manager::run_headless_with(plan, queue)` | `mgr.plan(plan).queue(queue).build().run()` |
-//! | `Manager::place_headless(plan)` | `mgr.plan(plan).build().place()` |
-//! | `Manager::run_source(&src)` | `mgr.source(&src).build().run()` |
-//! | `Manager::run_source_recorded(&src, make)` | `mgr.source(&src).recorder(make).build().run()` |
-//! | `Manager::run_open_loop(&src, h)` | `mgr.stream(&src, h).build().run()` |
-//! | `Manager::run_open_loop_recorded(&src, h, make)` | `mgr.stream(&src, h).recorder(make).build().run()` |
-//! | `Manager::run_spawn_per_worker(&plan)` | removed — test-only reference loop in `tests/cluster_scale.rs` |
-//!
-//! The online scheduler ([`crate::sched`]) has no `Manager` ancestor; it
-//! is reached the same way: `mgr.plan(plan).scheduler(SchedPolicyKind::Fifo).build().run()`.
 
 #![deny(missing_docs)]
 
@@ -140,12 +114,9 @@ enum WorkloadSpec<'w> {
 
 /// Default mode: label-free completions only, O(completions) memory —
 /// the million-worker configuration.  Placed plans run on the dense path
-/// ([`flowcon_core::dense`]); pick the event queue with
-/// [`ClusterSessionBuilder::queue`].
+/// ([`flowcon_core::dense`]).
 #[derive(Debug, Clone, Copy)]
-pub struct Headless {
-    queue: QueueKind,
-}
+pub struct Headless;
 
 /// Mode selected by [`ClusterSessionBuilder::recorder`]: every worker
 /// session records through `make(worker_index)`.
@@ -190,9 +161,7 @@ impl<'w> Default for ClusterSessionBuilder<'w, Headless> {
             policy: PolicyKind::Baseline,
             strategy: Box::new(RoundRobin::default()),
             workload: WorkloadSpec::Plan(WorkloadPlan::new(Vec::new())),
-            mode: Headless {
-                queue: QueueKind::default(),
-            },
+            mode: Headless,
         }
     }
 }
@@ -289,7 +258,7 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
     /// Materialize the node set and freeze the configuration.
     ///
     /// Panics if no nodes were configured (`a cluster needs at least one
-    /// worker`), matching `Manager::new`.
+    /// worker`).
     pub fn build(self) -> ClusterSession<'w, M> {
         ClusterSession {
             nodes: self.nodes.materialize(),
@@ -298,16 +267,6 @@ impl<'w, M> ClusterSessionBuilder<'w, M> {
             workload: self.workload,
             mode: self.mode,
         }
-    }
-}
-
-impl<'w> ClusterSessionBuilder<'w, Headless> {
-    /// The event-queue implementation for the dense headless path (both
-    /// dispatch in identical `(time, FIFO)` order, so results are
-    /// bit-identical; only applies to placed plans).
-    pub fn queue(mut self, queue: QueueKind) -> Self {
-        self.mode.queue = queue;
-        self
     }
 }
 
@@ -478,10 +437,7 @@ impl<'w> ClusterSession<'w, Headless> {
     /// pinned by `crates/cluster/tests/headless_allocs.rs`.
     pub fn run(self) -> ClusterOutcome<CompletionStats> {
         match self.workload {
-            WorkloadSpec::Plan(_) => {
-                let queue = self.mode.queue;
-                self.place().run(queue)
-            }
+            WorkloadSpec::Plan(_) => self.place().run(QueueKind::Heap),
             WorkloadSpec::Source(source) => ClusterOutcome {
                 workers: drive_source(&self.nodes, self.policy, source, &|_| {
                     CompletionsOnly::new()

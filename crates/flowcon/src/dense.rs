@@ -5,16 +5,11 @@
 //! other mode with the cheapest configuration: a [`CompletionsOnly`]
 //! recorder (no sample or trace events are ever scheduled), a borrowed
 //! job slice (containers carry no labels, so arrivals allocate nothing),
-//! and a [`DenseScratch`] — the node kernel's arena plus both event queues
-//! — recycled by the executor shard across every worker it drives.  A
+//! and a [`DenseScratch`] — the node kernel's arena plus the event heap —
+//! recycled by the executor shard across every worker it drives.  A
 //! steady-state worker run performs only the allocations its policy and
 //! completion records need (budgeted by
 //! `crates/cluster/tests/headless_allocs.rs`).
-//!
-//! The event queue is chosen per run ([`QueueKind`]): the engine's binary
-//! heap or the calendar queue from `flowcon_sim::calendar`, which both
-//! order events by `(when, FIFO sequence)` and so drive the identical
-//! event sequence.
 
 use flowcon_dl::workload::JobRequest;
 use flowcon_metrics::summary::CompletionStats;
@@ -26,34 +21,21 @@ use crate::recorder::CompletionsOnly;
 use crate::session::SessionResult;
 use crate::worker::{Plan, WorkerScratch, WorkerSetup};
 
-/// Which event queue drives a worker run.
+/// The event queue a worker run dispatches from: always the engine's
+/// binary heap.
 ///
-/// Both implementations dispatch events in identical `(time, FIFO)` order;
-/// the calendar queue trades the heap's `O(log n)` comparisons for `O(1)`
-/// bucket pushes in the dense regime where almost all events land within a
-/// sliding one-second-bucket year.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Kept only so the benchmark harness under `flowbench/`, which passes
+/// `QueueKind::Heap` to [`run_headless_dense`] and
+/// `PlacedHeadless::run`, builds unchanged; both ignore it.  The next
+/// change to the benchmark can drop the argument and this type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// The engine's binary-heap `EventQueue` (the default).
-    #[default]
+    /// The engine's binary-heap `EventQueue`.
     Heap,
-    /// The bucket/calendar queue (`flowcon_sim::calendar`).
-    Calendar,
 }
 
-impl QueueKind {
-    /// Parse a CLI-style name (`heap` / `calendar`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "heap" => Some(QueueKind::Heap),
-            "calendar" => Some(QueueKind::Calendar),
-            _ => None,
-        }
-    }
-}
-
-/// The recycled arena and event queues of a worker run — the same type
-/// as [`WorkerScratch`], named for the headless path.
+/// The recycled arena and event heap of a worker run — the same type as
+/// [`WorkerScratch`], named for the headless path.
 pub type DenseScratch = WorkerScratch;
 
 /// Run one worker's plan headless, recycling `scratch`.
@@ -63,12 +45,12 @@ pub type DenseScratch = WorkerScratch;
 /// the headless recorder never reads them — so the slice is borrowed, not
 /// consumed.  Returns exactly what
 /// `Session::builder()...recorder(CompletionsOnly::new()).run()` returns
-/// for the same inputs.
+/// for the same inputs.  `_queue` is ignored (see [`QueueKind`]).
 pub fn run_headless_dense(
     node: NodeConfig,
     plan: &[JobRequest],
     policy: Box<dyn ResourcePolicy>,
-    queue: QueueKind,
+    _queue: QueueKind,
     scratch: &mut DenseScratch,
 ) -> SessionResult<CompletionStats> {
     let setup = WorkerSetup {
@@ -78,7 +60,7 @@ pub fn run_headless_dense(
         recorder: CompletionsOnly::new(),
         failures: Vec::new(),
     };
-    scratch.run_plan(setup, queue, &mut NoopTracer)
+    scratch.run_plan(setup, &mut NoopTracer)
 }
 
 #[cfg(test)]
@@ -99,17 +81,13 @@ mod tests {
             .run()
     }
 
-    fn dense(
-        node: NodeConfig,
-        plan: &WorkloadPlan,
-        queue: QueueKind,
-    ) -> SessionResult<CompletionStats> {
+    fn dense(node: NodeConfig, plan: &WorkloadPlan) -> SessionResult<CompletionStats> {
         let mut scratch = DenseScratch::new();
         run_headless_dense(
             node,
             &plan.jobs,
             Box::new(FlowConPolicy::new(FlowConConfig::default())),
-            queue,
+            QueueKind::Heap,
             &mut scratch,
         )
     }
@@ -125,18 +103,8 @@ mod tests {
         for seed in [3_u64, 11, 42] {
             let plan = WorkloadPlan::random_n(12, seed);
             let object = session_headless(NodeConfig::default(), &plan);
-            let fast = dense(NodeConfig::default(), &plan, QueueKind::Heap);
+            let fast = dense(NodeConfig::default(), &plan);
             assert_same(&object, &fast);
-        }
-    }
-
-    #[test]
-    fn calendar_queue_matches_the_heap() {
-        for seed in [5_u64, 23] {
-            let plan = WorkloadPlan::random_n(15, seed);
-            let heap = dense(NodeConfig::default(), &plan, QueueKind::Heap);
-            let calendar = dense(NodeConfig::default(), &plan, QueueKind::Calendar);
-            assert_same(&heap, &calendar);
         }
     }
 
@@ -170,7 +138,7 @@ mod tests {
             NodeConfig::default(),
             &plan_a.jobs,
             Box::new(FlowConPolicy::new(FlowConConfig::default())),
-            QueueKind::Calendar,
+            QueueKind::Heap,
             &mut scratch,
         );
         // A different worker in between must not perturb the next run.
@@ -178,14 +146,14 @@ mod tests {
             NodeConfig::default().with_seed(99),
             &plan_b.jobs,
             Box::new(FlowConPolicy::new(FlowConConfig::default())),
-            QueueKind::Calendar,
+            QueueKind::Heap,
             &mut scratch,
         );
         let again = run_headless_dense(
             NodeConfig::default(),
             &plan_a.jobs,
             Box::new(FlowConPolicy::new(FlowConConfig::default())),
-            QueueKind::Calendar,
+            QueueKind::Heap,
             &mut scratch,
         );
         assert_same(&first, &again);
@@ -204,13 +172,5 @@ mod tests {
         assert_eq!(result.events_processed, 0);
         assert_eq!(result.output.len(), 0);
         assert_eq!(result.output.algorithm_runs, 0);
-    }
-
-    #[test]
-    fn queue_kind_parses_cli_names() {
-        assert_eq!(QueueKind::parse("heap"), Some(QueueKind::Heap));
-        assert_eq!(QueueKind::parse("calendar"), Some(QueueKind::Calendar));
-        assert_eq!(QueueKind::parse("wheel"), None);
-        assert_eq!(QueueKind::default(), QueueKind::Heap);
     }
 }

@@ -94,7 +94,6 @@ use flowcon_sim::trace::{NoopTracer, Tracer};
 use flowcon_workload::stream::{Horizon, JobStream};
 
 use crate::config::NodeConfig;
-use crate::dense::QueueKind;
 use crate::policy::{FairSharePolicy, ResourcePolicy};
 use crate::recorder::{FullRecorder, Recorder};
 use crate::worker::{FailureInjection, Plan, WorkerScratch, WorkerSetup};
@@ -298,9 +297,7 @@ impl<R: Recorder> Session<R> {
     /// caller can thread it into the next session's
     /// [`SessionBuilder::scratch`].
     pub fn run_recycling(mut self) -> (SessionResult<R::Output>, WorkerScratch) {
-        let result = self
-            .scratch
-            .run_plan(self.setup, QueueKind::Heap, &mut NoopTracer);
+        let result = self.scratch.run_plan(self.setup, &mut NoopTracer);
         (result, self.scratch)
     }
 
@@ -313,7 +310,7 @@ impl<R: Recorder> Session<R> {
     /// sim-time (never wall clocks), so a trace is a deterministic
     /// function of the session configuration and seed.
     pub fn run_traced<T: Tracer>(mut self, tracer: &mut T) -> SessionResult<R::Output> {
-        self.scratch.run_plan(self.setup, QueueKind::Heap, tracer)
+        self.scratch.run_plan(self.setup, tracer)
     }
 
     /// Run **open-loop**: admit jobs pulled from `stream` while `horizon`

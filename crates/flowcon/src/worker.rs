@@ -19,10 +19,9 @@
 //! `WorkerSim` is the one driver for every worker mode: recorded and
 //! headless sessions, source-fed cluster workers, open-loop streams, and
 //! the dense headless entry ([`crate::dense::run_headless_dense`]).  It
-//! is monomorphized over its [`Recorder`], the run's [`Tracer`] and the
-//! event queue, so a headless run on the calendar queue compiles to its
-//! own loop with every recorder and trace hook gone.  Every run is
-//! reproducible from `NodeConfig::seed`.
+//! is monomorphized over its [`Recorder`] and the run's [`Tracer`], so a
+//! headless run compiles to its own loop with every recorder and trace
+//! hook gone.  Every run is reproducible from `NodeConfig::seed`.
 //!
 //! `WorkerSim` is internal machinery: workers are built and run through
 //! [`crate::session::Session`] or [`crate::dense::run_headless_dense`].
@@ -34,9 +33,8 @@ use flowcon_dl::TrainingJob;
 use flowcon_metrics::sojourn::SojournStats;
 use flowcon_metrics::stream::StreamStats;
 use flowcon_metrics::summary::RunSummary;
-use flowcon_sim::calendar::CalendarQueue;
 use flowcon_sim::engine::{Scheduler, SimEngine, Simulation};
-use flowcon_sim::event::{DispatchQueue, EventQueue};
+use flowcon_sim::event::EventQueue;
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::stats::TimeWeighted;
 use flowcon_sim::time::{SimDuration, SimTime};
@@ -44,7 +42,6 @@ use flowcon_sim::trace::{TraceKind, Tracer};
 use flowcon_workload::stream::{Horizon, JobStream, StreamedJob};
 
 use crate::config::NodeConfig;
-use crate::dense::QueueKind;
 use crate::kernel::{Monitor, NodeKernel};
 use crate::policy::ResourcePolicy;
 use crate::recorder::{Recorder, RunMeta};
@@ -116,7 +113,7 @@ impl From<SessionResult<RunSummary>> for RunResult {
 }
 
 /// The recycled state of worker simulations: the node kernel's arena and
-/// the event queues.
+/// the event heap.
 ///
 /// Everything in here is rebuilt by each run, so only the *capacity*
 /// carries meaning between runs.  The sharded cluster executor keeps one
@@ -129,9 +126,6 @@ impl From<SessionResult<RunSummary>> for RunResult {
 pub struct WorkerScratch {
     kernel: NodeKernel,
     heap: EventQueue<WorkerEvent>,
-    /// Built on the first calendar run (its bucket array is an
-    /// allocation the heap-only majority of runs never pays).
-    calendar: Option<CalendarQueue<WorkerEvent>>,
 }
 
 impl WorkerScratch {
@@ -140,27 +134,16 @@ impl WorkerScratch {
         Self::default()
     }
 
-    /// Run a plan-driven worker on the chosen event queue.
+    /// Run a plan-driven worker.
     pub(crate) fn run_plan<R: Recorder, T: Tracer>(
         &mut self,
         setup: WorkerSetup<'_, R>,
-        queue: QueueKind,
         tracer: &mut T,
     ) -> SessionResult<R::Output> {
         let sim = WorkerSim::new(setup, &mut self.kernel);
-        match queue {
-            QueueKind::Heap => {
-                let (result, heap) = sim.run(std::mem::take(&mut self.heap), tracer);
-                self.heap = heap;
-                result
-            }
-            QueueKind::Calendar => {
-                let calendar = self.calendar.take().unwrap_or_default();
-                let (result, calendar) = sim.run(calendar, tracer);
-                self.calendar = Some(calendar);
-                result
-            }
-        }
+        let (result, heap) = sim.run(std::mem::take(&mut self.heap), tracer);
+        self.heap = heap;
+        result
     }
 
     /// Run an open-loop worker fed by `stream` (see
@@ -290,11 +273,7 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
     }
 
     /// Prime the recorder's sampling chains and the failure schedule.
-    fn prime_ticks<S, Q>(&self, engine: &mut SimEngine<S, Q>)
-    where
-        S: Simulation<Event = WorkerEvent>,
-        Q: DispatchQueue<WorkerEvent>,
-    {
+    fn prime_ticks<S: Simulation<Event = WorkerEvent>>(&self, engine: &mut SimEngine<S>) {
         if R::RECORDS_SAMPLES {
             engine.prime(SimTime::ZERO, WorkerEvent::SampleTick);
         }
@@ -323,12 +302,12 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
     /// Monomorphized over the [`Tracer`]: with the default
     /// [`NoopTracer`](flowcon_sim::trace::NoopTracer) every
     /// instrumentation site compiles away.
-    fn run<Q: DispatchQueue<WorkerEvent>, T: Tracer>(
+    fn run<T: Tracer>(
         self,
-        queue: Q,
+        queue: EventQueue<WorkerEvent>,
         tracer: &mut T,
-    ) -> (SessionResult<R::Output>, Q) {
-        let mut engine: SimEngine<WorkerShell<'a, R>, Q> = SimEngine::from_queue(queue);
+    ) -> (SessionResult<R::Output>, EventQueue<WorkerEvent>) {
+        let mut engine: SimEngine<WorkerShell<'a, R>> = SimEngine::from_queue(queue);
         for (idx, job) in self.plan.jobs().iter().enumerate() {
             engine.prime(job.arrival, WorkerEvent::Arrival(idx));
         }
@@ -353,13 +332,13 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
     /// No plan is ever materialized.  Jobs admitted before the horizon run
     /// to completion; the run ends when the stream is exhausted (or the
     /// horizon trips) and the pool drains.
-    fn run_stream<J: JobStream, Q: DispatchQueue<WorkerEvent>, T: Tracer>(
+    fn run_stream<J: JobStream, T: Tracer>(
         mut self,
         stream: J,
         horizon: Horizon,
-        queue: Q,
+        queue: EventQueue<WorkerEvent>,
         tracer: &mut T,
-    ) -> (StreamResult<R::Output>, Q) {
+    ) -> (StreamResult<R::Output>, EventQueue<WorkerEvent>) {
         assert!(
             horizon.is_bounded(),
             "an open-loop run needs a horizon (until and/or max jobs) — \
@@ -370,7 +349,7 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
             "open-loop sessions take jobs from the stream, not a plan"
         );
         self.slo_enabled = true;
-        let mut engine: SimEngine<OpenLoopShell<'a, R, J>, Q> = SimEngine::from_queue(queue);
+        let mut engine: SimEngine<OpenLoopShell<'a, R, J>> = SimEngine::from_queue(queue);
         self.prime_ticks(&mut engine);
         let mut shell = OpenLoopShell {
             worker: self,
@@ -478,9 +457,9 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
     }
 
     /// Reschedule the policy tick after a reconfiguration.
-    fn schedule_tick<T: Tracer, Q: DispatchQueue<WorkerEvent>>(
+    fn schedule_tick<T: Tracer>(
         &mut self,
-        sched: &mut Scheduler<'_, WorkerEvent, T, Q>,
+        sched: &mut Scheduler<'_, WorkerEvent, T>,
         interval: Option<SimDuration>,
     ) {
         if self.is_done() {
@@ -495,10 +474,7 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
     /// Schedule the next projected completion check, one microsecond past
     /// the exact finish so integration strictly crosses it (the workload
     /// clamps).
-    fn schedule_completion<T: Tracer, Q: DispatchQueue<WorkerEvent>>(
-        &mut self,
-        sched: &mut Scheduler<'_, WorkerEvent, T, Q>,
-    ) {
+    fn schedule_completion<T: Tracer>(&mut self, sched: &mut Scheduler<'_, WorkerEvent, T>) {
         if let Some(eta) = self.kernel.earliest_eta() {
             let at =
                 self.last_advance + SimDuration::from_secs_f64(eta) + SimDuration::from_micros(1);
@@ -540,13 +516,13 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
     /// Shared by plan arrivals ([`WorkerEvent::Arrival`]) and open-loop
     /// streamed arrivals ([`WorkerEvent::StreamArrival`], admitted mid-run
     /// by the [`OpenLoopShell`]).
-    fn admit_job<T: Tracer, Q: DispatchQueue<WorkerEvent>>(
+    fn admit_job<T: Tracer>(
         &mut self,
         now: SimTime,
         spec: ModelSpec,
         label: String,
         interrupted_by_exit: bool,
-        sched: &mut Scheduler<'_, WorkerEvent, T, Q>,
+        sched: &mut Scheduler<'_, WorkerEvent, T>,
     ) {
         let job = TrainingJob::with_label(spec, label, &mut self.rng);
         let id = self.kernel.next_id();
@@ -590,11 +566,7 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
         self.process_exits(now, tracer)
     }
 
-    fn handle<T: Tracer, Q: DispatchQueue<WorkerEvent>>(
-        &mut self,
-        event: WorkerEvent,
-        sched: &mut Scheduler<'_, WorkerEvent, T, Q>,
-    ) {
+    fn handle<T: Tracer>(&mut self, event: WorkerEvent, sched: &mut Scheduler<'_, WorkerEvent, T>) {
         let now = sched.now();
         match event {
             WorkerEvent::Arrival(idx) => {
@@ -681,11 +653,7 @@ struct WorkerShell<'a, R: Recorder>(WorkerSim<'a, R>);
 
 impl<R: Recorder> Simulation for WorkerShell<'_, R> {
     type Event = WorkerEvent;
-    fn handle<T: Tracer, Q: DispatchQueue<WorkerEvent>>(
-        &mut self,
-        event: WorkerEvent,
-        sched: &mut Scheduler<'_, WorkerEvent, T, Q>,
-    ) {
+    fn handle<T: Tracer>(&mut self, event: WorkerEvent, sched: &mut Scheduler<'_, WorkerEvent, T>) {
         self.0.handle(event, sched);
     }
 }
@@ -735,11 +703,7 @@ impl<R: Recorder, J: JobStream> OpenLoopShell<'_, R, J> {
 impl<R: Recorder, J: JobStream> Simulation for OpenLoopShell<'_, R, J> {
     type Event = WorkerEvent;
 
-    fn handle<T: Tracer, Q: DispatchQueue<WorkerEvent>>(
-        &mut self,
-        event: WorkerEvent,
-        sched: &mut Scheduler<'_, WorkerEvent, T, Q>,
-    ) {
+    fn handle<T: Tracer>(&mut self, event: WorkerEvent, sched: &mut Scheduler<'_, WorkerEvent, T>) {
         let WorkerEvent::StreamArrival = event else {
             self.worker.handle(event, sched);
             return;

@@ -1,7 +1,7 @@
 //! Golden outcome digests of the worker simulation: every run mode a
-//! worker node supports (recorded, sampled, failure-injected, headless on
-//! both event queues, open-loop, traced), fingerprinted with a 64-bit
-//! FNV-1a over everything the run produces.
+//! worker node supports (recorded, sampled, failure-injected, headless,
+//! open-loop, traced), fingerprinted with a 64-bit FNV-1a over everything
+//! the run produces.
 //!
 //! Any change to node physics, the event protocol, the RNG protocol, the
 //! ids the policy sees, or what a recorder is handed moves a digest.  A
@@ -198,24 +198,16 @@ fn failure_injection_fixed_three_flowcon() {
 }
 
 #[test]
-fn headless_dense_on_both_queues() {
-    // Both queues dispatch in the same (time, FIFO) order: one golden.
+fn headless_dense_heap() {
     let plan = WorkloadPlan::random_n(40, 9);
-    let mut scratch = DenseScratch::new();
-    for queue in [QueueKind::Heap, QueueKind::Calendar] {
-        let r = run_headless_dense(
-            NodeConfig::default().with_seed(0x60_1DE2),
-            &plan.jobs,
-            Box::new(flowcon()),
-            queue,
-            &mut scratch,
-        );
-        check(
-            &format!("headless {queue:?}"),
-            stats_digest(&r),
-            0xfa9b_7de9_bbe8_298c,
-        );
-    }
+    let r = run_headless_dense(
+        NodeConfig::default().with_seed(0x60_1DE2),
+        &plan.jobs,
+        Box::new(flowcon()),
+        QueueKind::Heap,
+        &mut DenseScratch::new(),
+    );
+    check("headless heap", stats_digest(&r), 0xfa9b_7de9_bbe8_298c);
 }
 
 #[test]

@@ -5,13 +5,10 @@
 //! and repeatedly dispatches the earliest event.  Handlers receive a
 //! [`Scheduler`] so they can enqueue follow-up events but cannot rewind the
 //! clock.
-//!
-//! The queue is any [`DispatchQueue`]: the binary heap by default, or the
-//! calendar queue, which dispatches the identical event sequence.
 
 use std::marker::PhantomData;
 
-use crate::event::{DispatchQueue, EventQueue};
+use crate::event::EventQueue;
 use crate::time::SimTime;
 use crate::trace::{NoopTracer, TraceKind, Tracer};
 
@@ -34,15 +31,15 @@ pub enum RunOutcome {
 /// trace events without the simulation type itself being generic over
 /// the tracer.  The default is [`NoopTracer`], which compiles every
 /// instrumentation site away.
-pub struct Scheduler<'a, E, T: Tracer = NoopTracer, Q: DispatchQueue<E> = EventQueue<E>> {
+pub struct Scheduler<'a, E, T: Tracer = NoopTracer> {
     now: SimTime,
-    queue: &'a mut Q,
+    queue: &'a mut EventQueue<E>,
     stop: &'a mut bool,
     tracer: &'a mut T,
     _event: PhantomData<fn(E)>,
 }
 
-impl<'a, E, T: Tracer, Q: DispatchQueue<E>> Scheduler<'a, E, T, Q> {
+impl<'a, E, T: Tracer> Scheduler<'a, E, T> {
     /// The current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -84,22 +81,14 @@ pub trait Simulation {
 
     /// Handle one event at its firing time.
     ///
-    /// Generic over the run's [`Tracer`] and event queue (monomorphized
-    /// per pair, so the untraced heap instantiation is byte-for-byte the
-    /// pre-tracing loop).
-    fn handle<T: Tracer, Q: DispatchQueue<Self::Event>>(
-        &mut self,
-        event: Self::Event,
-        sched: &mut Scheduler<'_, Self::Event, T, Q>,
-    );
+    /// Generic over the run's [`Tracer`] (monomorphized, so the untraced
+    /// instantiation is byte-for-byte the pre-tracing loop).
+    fn handle<T: Tracer>(&mut self, event: Self::Event, sched: &mut Scheduler<'_, Self::Event, T>);
 }
 
 /// The engine: clock + queue + dispatch loop.
-pub struct SimEngine<
-    S: Simulation,
-    Q: DispatchQueue<S::Event> = EventQueue<<S as Simulation>::Event>,
-> {
-    queue: Q,
+pub struct SimEngine<S: Simulation> {
+    queue: EventQueue<S::Event>,
     now: SimTime,
     events_processed: u64,
     /// Run-away guard: an experiment on this scale should never need more.
@@ -114,14 +103,11 @@ impl<S: Simulation> Default for SimEngine<S> {
 }
 
 impl<S: Simulation> SimEngine<S> {
-    /// A fresh engine at t=0 over a binary heap, with the default event
-    /// budget.
+    /// A fresh engine at t=0 with the default event budget.
     pub fn new() -> Self {
         Self::from_queue(EventQueue::new())
     }
-}
 
-impl<S: Simulation, Q: DispatchQueue<S::Event>> SimEngine<S, Q> {
     /// A fresh engine at t=0 reusing `queue`'s allocation.
     ///
     /// The queue is cleared of any pending events; only its capacity (and
@@ -130,7 +116,7 @@ impl<S: Simulation, Q: DispatchQueue<S::Event>> SimEngine<S, Q> {
     /// back — the sharded cluster executor runs hundreds per shard — thread
     /// one queue through [`SimEngine::into_queue`] so the event heap is
     /// allocated once per shard instead of once per simulation.
-    pub fn from_queue(mut queue: Q) -> Self {
+    pub fn from_queue(mut queue: EventQueue<S::Event>) -> Self {
         queue.clear();
         SimEngine {
             queue,
@@ -143,7 +129,7 @@ impl<S: Simulation, Q: DispatchQueue<S::Event>> SimEngine<S, Q> {
 
     /// Tear down the engine, handing back the event queue for reuse by a
     /// later [`SimEngine::from_queue`].
-    pub fn into_queue(self) -> Q {
+    pub fn into_queue(self) -> EventQueue<S::Event> {
         self.queue
     }
 
@@ -268,11 +254,7 @@ mod tests {
 
     impl Simulation for Ticker {
         type Event = TickEvent;
-        fn handle<T: Tracer, Q: DispatchQueue<TickEvent>>(
-            &mut self,
-            _ev: TickEvent,
-            sched: &mut Scheduler<'_, TickEvent, T, Q>,
-        ) {
+        fn handle<T: Tracer>(&mut self, _ev: TickEvent, sched: &mut Scheduler<'_, TickEvent, T>) {
             self.fired_at.push(sched.now());
             if self.remaining > 0 {
                 self.remaining -= 1;
@@ -353,39 +335,10 @@ mod tests {
         assert!(recycled.into_queue().is_empty());
     }
 
-    #[test]
-    fn calendar_backed_engine_dispatches_like_the_heap() {
-        use crate::calendar::CalendarQueue;
-        let mut on_heap = Ticker {
-            remaining: 50,
-            fired_at: vec![],
-        };
-        let mut heap = SimEngine::new();
-        heap.prime(SimTime::ZERO, TickEvent::Tick);
-        heap.run_to_completion(&mut on_heap);
-        let mut on_calendar = Ticker {
-            remaining: 50,
-            fired_at: vec![],
-        };
-        let mut calendar: SimEngine<Ticker, CalendarQueue<TickEvent>> =
-            SimEngine::from_queue(CalendarQueue::new());
-        calendar.prime(SimTime::ZERO, TickEvent::Tick);
-        assert_eq!(
-            calendar.run_to_completion(&mut on_calendar),
-            RunOutcome::Drained
-        );
-        assert_eq!(on_heap.fired_at, on_calendar.fired_at);
-        assert_eq!(heap.events_processed(), calendar.events_processed());
-    }
-
     struct Stopper;
     impl Simulation for Stopper {
         type Event = u8;
-        fn handle<T: Tracer, Q: DispatchQueue<u8>>(
-            &mut self,
-            _ev: u8,
-            sched: &mut Scheduler<'_, u8, T, Q>,
-        ) {
+        fn handle<T: Tracer>(&mut self, _ev: u8, sched: &mut Scheduler<'_, u8, T>) {
             sched.stop();
         }
     }

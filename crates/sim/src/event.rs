@@ -37,27 +37,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The pending-event store a [`SimEngine`](crate::engine::SimEngine)
-/// dispatches from.
-///
-/// Implementations pop events in `(when, FIFO sequence)` order, so every
-/// implementation drives a simulation through the identical event
-/// sequence: the binary heap ([`EventQueue`], the default) and the
-/// calendar queue ([`CalendarQueue`](crate::calendar::CalendarQueue)).
-pub trait DispatchQueue<E> {
-    /// Schedule `payload` to fire at `when`.
-    fn schedule(&mut self, when: SimTime, payload: E);
-    /// Remove and return the earliest event iff it fires at or before
-    /// `horizon`.
-    fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)>;
-    /// Timestamp of the next event without removing it.
-    fn peek_time(&mut self) -> Option<SimTime>;
-    /// True if no events are pending.
-    fn is_empty(&self) -> bool;
-    /// Drop every pending event, keeping capacity and the FIFO sequence.
-    fn clear(&mut self);
-}
-
 /// A deterministic min-priority queue of timestamped events.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -143,24 +122,6 @@ impl<E> EventQueue<E> {
     /// Drop every pending event.
     pub fn clear(&mut self) {
         self.heap.clear();
-    }
-}
-
-impl<E> DispatchQueue<E> for EventQueue<E> {
-    fn schedule(&mut self, when: SimTime, payload: E) {
-        EventQueue::schedule(self, when, payload);
-    }
-    fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        EventQueue::pop_if_at_or_before(self, horizon)
-    }
-    fn peek_time(&mut self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn is_empty(&self) -> bool {
-        EventQueue::is_empty(self)
-    }
-    fn clear(&mut self) {
-        EventQueue::clear(self);
     }
 }
 

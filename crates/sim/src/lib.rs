@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub mod alloc;
-pub mod calendar;
 pub mod contention;
 pub mod engine;
 pub mod event;
@@ -48,10 +47,9 @@ pub mod time;
 pub mod trace;
 
 pub use alloc::{waterfill, AllocRequest, Allocation};
-pub use calendar::CalendarQueue;
 pub use contention::ContentionModel;
 pub use engine::{RunOutcome, SimEngine, Simulation};
-pub use event::{DispatchQueue, EventQueue};
+pub use event::EventQueue;
 pub use resources::{ResourceKind, ResourceVec, RESOURCE_KINDS};
 pub use rng::SimRng;
 pub use stats::TimeWeighted;

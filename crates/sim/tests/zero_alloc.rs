@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use flowcon_sim::alloc::{waterfill_into, waterfill_soft_into, AllocRequest, WaterfillScratch};
 use flowcon_sim::engine::{Scheduler, SimEngine, Simulation};
-use flowcon_sim::event::DispatchQueue;
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::trace::{NoopTracer, Tracer};
 
@@ -87,11 +86,7 @@ struct Ticker {
 
 impl Simulation for Ticker {
     type Event = ();
-    fn handle<T: Tracer, Q: DispatchQueue<()>>(
-        &mut self,
-        _ev: (),
-        sched: &mut Scheduler<'_, (), T, Q>,
-    ) {
+    fn handle<T: Tracer>(&mut self, _ev: (), sched: &mut Scheduler<'_, (), T>) {
         if self.remaining > 0 {
             self.remaining -= 1;
             sched.after(SimDuration::from_secs(1), ());
