@@ -57,8 +57,8 @@
 //! same workload and prints the per-policy comparison table (makespan,
 //! mean queueing delay, preemptions, migrations, utilization, and
 //! p50/p95/p99 sojourn and queue-wait tails from the quantile sketches).
-//! Runs are deterministic: same `--seed` ⇒ bit-identical decision log,
-//! sharded or `--sequential`.
+//! Runs are deterministic: same `--seed` ⇒ bit-identical decision log.
+//! Nodes advance one after another on the calling thread.
 //!
 //! `repro frontier` is the capacity-planning sweep: per policy, it feeds
 //! the online scheduler a cluster-wide Poisson arrival stream and climbs
@@ -78,7 +78,7 @@
 //! The JSON goes to stdout unless `--out PATH`; `--summary` adds a
 //! per-kind event-count table (on stderr when the JSON owns stdout, so
 //! the document stays pipeable).  Exports are deterministic: the same
-//! seed produces byte-identical JSON, sharded or `--sequential`.
+//! seed produces byte-identical JSON.
 //! `repro sched --trace-out PATH` (single policy only) and `repro stream
 //! --trace-out PATH` (single-worker full-observability runs) write the
 //! same format alongside their normal tables.
@@ -238,7 +238,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "sched",
         flags: "--policy {fifo,gandiva,tiresias} --compare --workers N --jobs J --seed S \
-                --quantum SECS --slots K --sequential --trace-out PATH",
+                --quantum SECS --slots K --trace-out PATH",
         run: run_sched,
     },
     Command {
@@ -250,7 +250,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "timeline",
         flags: "--policy {fifo,gandiva,tiresias} --workers N --jobs J --seed S --quantum SECS \
-                --slots K --sequential --capacity N --out PATH --summary",
+                --slots K --capacity N --out PATH --summary",
         run: run_timeline,
     },
     Command {
@@ -1104,12 +1104,11 @@ fn run_sched(args: &Args) -> Outcome {
         "Online cluster scheduler: {} nodes x {} slots, {} jobs, {:.0}s quantum",
         w.workers, w.slots, w.jobs, w.quantum
     ));
-    let sequential = args.has("--sequential");
     let rows = w
         .kinds(compare)
         .into_iter()
         .map(|kind| {
-            let builder = w.session(kind).sequential(sequential);
+            let builder = w.session(kind);
             let out = match trace_out {
                 None => builder.build().run(),
                 Some(path) => {
@@ -1300,7 +1299,6 @@ fn run_timeline(args: &Args) -> Outcome {
     }
     let (outcome, recorder) = w
         .session(w.policy)
-        .sequential(args.has("--sequential"))
         .tracer(FlightRecorder::with_capacity(capacity))
         .build()
         .run_traced();

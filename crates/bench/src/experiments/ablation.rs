@@ -8,6 +8,7 @@
 //!   quality-proportional.
 
 use super::{baseline_run, flowcon_run, policy_run};
+use flowcon_cluster::executor::map_bounded;
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_core::policy::{
     FairSharePolicy, FlowConPolicy, QualityProportionalPolicy, StaticEqualPolicy,
@@ -15,8 +16,6 @@ use flowcon_core::policy::{
 use flowcon_dl::workload::WorkloadPlan;
 use flowcon_sim::contention::ContentionModel;
 use flowcon_sim::time::SimDuration;
-
-use super::parallel_map;
 
 /// Back-off ablation result.
 #[derive(Debug, Clone)]
@@ -56,7 +55,7 @@ pub fn backoff(node: NodeConfig) -> BackoffAblation {
 pub fn beta_sweep(node: NodeConfig, seed: u64, betas: &[f64]) -> Vec<(f64, f64, f64)> {
     let plan = WorkloadPlan::random_five(seed);
     let baseline = baseline_run(node, &plan).output;
-    parallel_map(betas.to_vec(), move |beta: f64| {
+    map_bounded(betas.to_vec(), move |beta: f64| {
         let cfg = FlowConConfig {
             beta,
             ..FlowConConfig::default()
@@ -75,7 +74,7 @@ pub fn beta_sweep(node: NodeConfig, seed: u64, betas: &[f64]) -> Vec<(f64, f64, 
 /// schedule — shows the makespan win needs real contention to exist.
 pub fn kappa_sweep(node: NodeConfig, kappas: &[f64]) -> Vec<(f64, f64)> {
     let plan = WorkloadPlan::fixed_three();
-    parallel_map(kappas.to_vec(), move |kappa: f64| {
+    map_bounded(kappas.to_vec(), move |kappa: f64| {
         let node = NodeConfig {
             contention: ContentionModel::with_kappa(kappa),
             ..node

@@ -5,11 +5,10 @@
 //! should accelerate by shifting share away from the nearly-converged VAE.
 
 use super::{baseline_run, flowcon_run};
+use flowcon_cluster::executor::map_bounded;
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_dl::workload::WorkloadPlan;
 use flowcon_metrics::summary::RunSummary;
-
-use super::parallel_map;
 
 /// The itval values (seconds) swept by Figs. 3–4.
 pub const INTERVALS: [u64; 5] = [20, 30, 40, 50, 60];
@@ -56,7 +55,7 @@ impl FixedSweep {
 pub fn sweep(node: NodeConfig, params: &[(f64, u64)]) -> FixedSweep {
     let plan = WorkloadPlan::fixed_three();
     let baseline = baseline_run(node, &plan).output;
-    let cells = parallel_map(params.to_vec(), |(alpha, itval): (f64, u64)| {
+    let cells = map_bounded(params.to_vec(), |(alpha, itval): (f64, u64)| {
         let config = FlowConConfig::with_params(alpha, itval);
         let summary = flowcon_run(node, &plan, config).output;
         FixedCell { config, summary }

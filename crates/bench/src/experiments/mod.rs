@@ -54,47 +54,3 @@ pub fn flowcon_run(
 pub fn baseline_run(node: NodeConfig, plan: &WorkloadPlan) -> SessionResult<RunSummary> {
     policy_run(node, plan, Box::new(FairSharePolicy::new()))
 }
-
-/// Run closures on parallel OS threads, preserving input order of results.
-///
-/// Parameter sweeps (Figs. 3–6 sweep five itval values × several α) are
-/// embarrassingly parallel: each cell is an independent deterministic
-/// simulation.  Delegates to the sharded cluster executor
-/// ([`flowcon_cluster::executor::map_bounded`]) — the shared-cursor pool
-/// born here was generalized into that module — so parallelism stays
-/// bounded by [`std::thread::available_parallelism`]: a 100-cell sweep on
-/// an 8-way machine spawns 8 threads, not 100.
-pub fn parallel_map<T, O, F>(inputs: Vec<T>, f: F) -> Vec<O>
-where
-    T: Send,
-    O: Send,
-    F: Fn(T) -> O + Sync,
-{
-    flowcon_cluster::executor::map_bounded(inputs, f)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..32).collect(), |x: i32| x * 2);
-        assert_eq!(out, (0..32).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_many_more_cells_than_cores() {
-        // 500 cells must not spawn 500 threads; with the bounded pool this
-        // completes with at most `available_parallelism` workers.
-        let out = parallel_map((0..500).collect(), |x: u64| x * x);
-        assert_eq!(out.len(), 500);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == (i as u64).pow(2)));
-    }
-
-    #[test]
-    fn parallel_map_empty_and_single() {
-        assert!(parallel_map(Vec::<u8>::new(), |x: u8| x).is_empty());
-        assert_eq!(parallel_map(vec![7], |x: u8| x + 1), vec![8]);
-    }
-}

@@ -5,11 +5,10 @@
 //! and NA.
 
 use super::{baseline_run, flowcon_run};
+use flowcon_cluster::executor::map_bounded;
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_dl::workload::WorkloadPlan;
 use flowcon_metrics::summary::RunSummary;
-
-use super::parallel_map;
 
 /// The four parameter settings of Fig. 9: (α, itval).
 pub const FIG9_PARAMS: [(f64, u64); 4] = [(0.03, 30), (0.03, 60), (0.05, 30), (0.05, 60)];
@@ -47,7 +46,7 @@ impl RandomComparison {
 pub fn fig9(node: NodeConfig, workload_seed: u64) -> RandomComparison {
     let plan = WorkloadPlan::random_five(workload_seed);
     let baseline = baseline_run(node, &plan).output;
-    let flowcon = parallel_map(FIG9_PARAMS.to_vec(), |(alpha, itval): (f64, u64)| {
+    let flowcon = map_bounded(FIG9_PARAMS.to_vec(), |(alpha, itval): (f64, u64)| {
         flowcon_run(node, &plan, FlowConConfig::with_params(alpha, itval)).output
     });
     RandomComparison {

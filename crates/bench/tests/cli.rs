@@ -38,6 +38,8 @@ fn malformed_invocations_exit_2_before_running_anything() {
         "cluster --headless --queue calendar",
         "cluster --headless --queue heap",
         "profile --queue calendar",
+        "sched --sequential",
+        "timeline --sequential",
     ] {
         let out = repro(&line.split_whitespace().collect::<Vec<_>>());
         let stderr = String::from_utf8_lossy(&out.stderr);

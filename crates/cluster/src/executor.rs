@@ -1,16 +1,17 @@
 //! The sharded cluster executor: a bounded, work-stealing-free thread pool.
 //!
-//! `Manager::run` used to spawn one OS thread per worker node, which caps
-//! cluster experiments at a few dozen nodes.  This module generalizes the
-//! shared-cursor pool that `flowcon-bench` used for parameter sweeps into a
-//! reusable executor: at most [`std::thread::available_parallelism`] OS
-//! threads (the *shards*) pull items off an atomic cursor, so a
-//! 1000-worker cluster runs on an 8-way machine with 8 threads.
+//! One OS thread per worker node would cap cluster experiments at a few
+//! dozen nodes.  This executor bounds the pool instead: at most
+//! [`std::thread::available_parallelism`] OS threads (the *shards*) pull
+//! items off an atomic cursor, so a 1000-worker cluster runs on an 8-way
+//! machine with 8 threads.  The closed-loop, headless and open-loop
+//! cluster paths call it once per run, and `flowcon-bench` runs its
+//! parameter sweeps on [`map_bounded`].
 //!
-//! The executor's distinguishing feature over a plain `parallel_map` is
+//! The executor's distinguishing feature over a plain parallel map is
 //! **per-shard state**: each shard owns one `S` created by `init` and
 //! threads it through every item it processes ([`map_sharded`]).  The
-//! cluster manager uses this to recycle one
+//! cluster session uses this to recycle one
 //! [`flowcon_core::worker::WorkerScratch`] per shard across the hundreds of
 //! worker simulations that shard drives, so worker hot-path buffers are
 //! reused instead of reallocated per simulation.
@@ -18,8 +19,8 @@
 //! Items are claimed in input order and results land in their input slot,
 //! so output order is deterministic regardless of thread scheduling — and
 //! because each simulation is itself deterministic, a sharded cluster run
-//! is bit-identical to the legacy thread-per-worker path (pinned by
-//! `crates/cluster/tests/cluster_scale.rs`).
+//! is bit-identical to a reference that runs every worker on its own
+//! thread (pinned by `crates/cluster/tests/cluster_scale.rs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -16,8 +16,9 @@
 //!   with per-shard reusable state, so 1000-worker clusters run on
 //!   `available_parallelism` OS threads.
 //! * [`manager`] — [`PlacedHeadless`], the dense headless path split at
-//!   its placement stage; the legacy `Manager` façade itself has been
-//!   removed (see the migration table in [`session`]).
+//!   its placement stage (placed by
+//!   [`ClusterSession::place`](session::ClusterSession::place), then
+//!   simulated worker by worker on the executor).
 //! * [`session`] — the front door: one builder covering closed plans,
 //!   streamed plan sources, open-loop job streams, pluggable recorders,
 //!   and the online scheduler.

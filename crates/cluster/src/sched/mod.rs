@@ -18,11 +18,11 @@
 //!    and running node-local FlowCon reconfigurations at their own
 //!    cadence.
 //!
-//! Step 3 is embarrassingly parallel: each `NodeSim` advance is
-//! a pure function of that node's state, so the engine can run it
-//! sequentially or over the sharded executor and get bit-identical
-//! results — the same determinism contract the closed-loop cluster path
-//! has, pinned by `crates/cluster/tests/sched_determinism.rs`.
+//! Step 3 runs on the caller's thread, node by node in index order:
+//! spawning the sharded executor's threads at every barrier measured
+//! slower at every cluster size tried.  Each `NodeSim` advance is a pure
+//! function of that node's state, so repeated runs are bit-identical,
+//! pinned by `crates/cluster/tests/sched_determinism.rs`.
 //!
 //! # Quantum invariants
 //!
@@ -52,7 +52,6 @@ use flowcon_metrics::summary::{makespan_over, Completion};
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::trace::{TraceKind, Tracer};
 
-use crate::executor::map_sharded;
 use crate::policy_kind::PolicyKind;
 use node::NodeSim;
 use policy::NodeSpan;
@@ -65,10 +64,6 @@ pub struct SchedConfig {
     /// Concurrent job slots per node (FlowCon shares the node's capacity
     /// among the jobs in its slots).
     pub slots_per_node: usize,
-    /// Advance nodes on the caller's thread instead of the sharded
-    /// executor.  Results are bit-identical either way; the sequential
-    /// mode exists for determinism tests and tiny clusters.
-    pub sequential: bool,
 }
 
 impl Default for SchedConfig {
@@ -76,7 +71,6 @@ impl Default for SchedConfig {
         Self {
             quantum: SimDuration::from_secs(10),
             slots_per_node: 2,
-            sequential: false,
         }
     }
 }
@@ -233,9 +227,9 @@ fn check_free_slot<T: Tracer>(
 /// per applied [`SchedAction`], cluster-level job run/complete spans,
 /// and queue-depth counters.  Node-local events (policy reconfigures,
 /// water-filling counters) land in per-node forked recorders that are
-/// drained back in node-index order at every barrier, so sharded and
-/// sequential traced runs produce identical merged sequences.
-pub(crate) fn run_sched<T: Tracer + Send>(
+/// drained back in node-index order at every barrier, which fixes the
+/// merged event order.
+pub(crate) fn run_sched<T: Tracer>(
     node_cfgs: &[NodeConfig],
     worker_policy: PolicyKind,
     mut policy: Box<dyn ClusterPolicy>,
@@ -255,7 +249,7 @@ pub(crate) fn run_sched<T: Tracer + Send>(
         .map(|(i, cfg)| {
             NodeSim::new(
                 *cfg,
-                worker_policy.build_send(),
+                worker_policy.build(),
                 config.slots_per_node,
                 tracer.fork(),
                 i as u32,
@@ -439,29 +433,13 @@ pub(crate) fn run_sched<T: Tracer + Send>(
             tracer.counter(t, TraceKind::QueueDepth, 0, queue.len() as f64);
         }
 
-        // 3. Advance every node to the next barrier — sequentially or on
-        //    the sharded executor, bit-identically.
+        // 3. Advance every node to the next barrier, in node-index order.
         let barrier = t + quantum;
-        if config.sequential || nodes.len() == 1 {
-            for node in &mut nodes {
-                node.advance_to(barrier);
-            }
-        } else {
-            let owned = std::mem::take(&mut nodes);
-            nodes = map_sharded(
-                owned,
-                || (),
-                |(), mut node| {
-                    node.advance_to(barrier);
-                    node
-                },
-            );
-        }
         for (ni, node) in nodes.iter_mut().enumerate() {
+            node.advance_to(barrier);
             if T::ENABLED {
-                // Merge this node's per-shard recorder in node-index
-                // order — the stable sort that makes sharded ≡
-                // sequential.
+                // Merge this node's forked recorder in node-index order,
+                // which fixes the merged event order.
                 tracer.absorb(&mut node.tracer);
             }
             for c in node.completions.drain(..) {
@@ -526,7 +504,7 @@ mod tests {
             .collect()
     }
 
-    fn run(kind: SchedPolicyKind, workers: usize, seed: u64, sequential: bool) -> SchedOutcome {
+    fn run(kind: SchedPolicyKind, workers: usize, seed: u64) -> SchedOutcome {
         let plan = WorkloadPlan::random_n(12, seed);
         let cfgs: Vec<NodeConfig> = (0..workers)
             .map(|i| NodeConfig::default().with_seed(0xF10C + i as u64))
@@ -535,10 +513,7 @@ mod tests {
             &cfgs,
             PolicyKind::FlowCon(FlowConConfig::default()),
             kind.build(),
-            SchedConfig {
-                sequential,
-                ..SchedConfig::default()
-            },
+            SchedConfig::default(),
             arrivals_of(&plan),
             &mut flowcon_sim::trace::NoopTracer,
         )
@@ -547,7 +522,7 @@ mod tests {
     #[test]
     fn every_policy_drains_the_whole_workload() {
         for kind in SchedPolicyKind::ALL {
-            let out = run(kind, 3, 42, true);
+            let out = run(kind, 3, 42);
             assert_eq!(out.completed_jobs(), 12, "{} lost jobs", out.policy);
             assert_eq!(out.stream.submitted, 12);
             assert!(out.makespan_secs() > 0.0);
@@ -591,15 +566,6 @@ mod tests {
         assert_eq!(out.completed_jobs(), 6);
         assert!(out.mean_queueing_delay_secs() > 0.0);
         assert_eq!(out.preemptions, 0, "FIFO never preempts");
-    }
-
-    #[test]
-    fn sequential_and_sharded_advance_are_bit_identical() {
-        for kind in SchedPolicyKind::ALL {
-            let seq = run(kind, 4, 11, true);
-            let shard = run(kind, 4, 11, false);
-            assert_eq!(seq, shard, "{} diverged across advance modes", kind.name());
-        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! `advance_to` is a pure function of the node's own state: no shared
 //! memory, no RNG outside the node's private stream.  That is what makes
-//! the engine's sequential and sharded advance modes bit-identical
-//! (pinned by `crates/cluster/tests/sched_determinism.rs`).
+//! a scheduler run reproducible bit for bit (pinned by
+//! `crates/cluster/tests/sched_determinism.rs`).
 
 use flowcon_container::{ContainerId, Workload};
 use flowcon_core::config::NodeConfig;
@@ -85,15 +85,14 @@ fn remaining_of(job: &TrainingJob) -> f64 {
 /// node-local FlowCon policy + private RNG, advanced barrier-to-barrier
 /// by the engine.
 ///
-/// Each node owns a **per-shard flight recorder** (`tracer`, forked from
-/// the run's tracer): node-local events recorded during a parallel
-/// `advance_to` are a pure function of the node's own state, and the
-/// engine drains them back in node-index order at every barrier — which
-/// is why sharded and sequential traced runs merge to identical
-/// sequences.
+/// Each node owns a **forked flight recorder** (`tracer`, forked from
+/// the run's tracer): node-local events recorded during `advance_to` are
+/// a pure function of the node's own state, and the engine drains them
+/// back in node-index order at every barrier, which fixes the order of
+/// the merged timeline.
 pub(crate) struct NodeSim<T: Tracer = NoopTracer> {
     cfg: NodeConfig,
-    policy: Box<dyn ResourcePolicy + Send>,
+    policy: Box<dyn ResourcePolicy>,
     rng: SimRng,
     now: SimTime,
     /// Next node-local policy reconfiguration, if one is scheduled.
@@ -115,7 +114,7 @@ pub(crate) struct NodeSim<T: Tracer = NoopTracer> {
 impl<T: Tracer> NodeSim<T> {
     pub(crate) fn new(
         cfg: NodeConfig,
-        policy: Box<dyn ResourcePolicy + Send>,
+        policy: Box<dyn ResourcePolicy>,
         slots: usize,
         tracer: T,
         trace_id: u32,
@@ -335,7 +334,7 @@ mod tests {
     fn node(slots: usize) -> NodeSim {
         NodeSim::new(
             NodeConfig::default().with_seed(0xF10C),
-            PolicyKind::FlowCon(FlowConConfig::default()).build_send(),
+            PolicyKind::FlowCon(FlowConConfig::default()).build(),
             slots,
             NoopTracer,
             0,

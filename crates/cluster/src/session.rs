@@ -81,8 +81,8 @@ impl<S: StreamSource> DynStreamSource for S {
 enum NodeSet {
     /// No `.nodes()` / `.node_configs()` call yet.
     Unset,
-    /// `workers` copies of one template, each re-seeded so workloads
-    /// don't correlate (the same stride `Manager::new` used).
+    /// `workers` copies of one template, worker `i` re-seeded to
+    /// `seed + i·0x9E37_79B9` so workloads don't correlate.
     Uniform { workers: usize, node: NodeConfig },
     /// Heterogeneous nodes, used verbatim.
     Explicit(Vec<NodeConfig>),
@@ -283,10 +283,14 @@ impl<'w, T: Tracer> ClusterSessionBuilder<'w, Sched<T>> {
         self
     }
 
-    /// Advance nodes on the caller's thread instead of the sharded
-    /// executor (bit-identical either way; for determinism tests).
-    pub fn sequential(mut self, sequential: bool) -> Self {
-        self.mode.config.sequential = sequential;
+    /// Ignored: the scheduler always advances its nodes on the caller's
+    /// thread.
+    ///
+    /// Kept only so the benchmark harness under `flowbench/`, which calls
+    /// `.sequential(..)` on its scheduler sessions, builds unchanged.  The
+    /// next change to the benchmark can drop the call and this method.
+    #[doc(hidden)]
+    pub fn sequential(self, _sequential: bool) -> Self {
         self
     }
 
@@ -300,11 +304,10 @@ impl<'w, T: Tracer> ClusterSessionBuilder<'w, Sched<T>> {
 
     /// Trace the run through `tracer` — e.g. a
     /// [`FlightRecorder`](flowcon_sim::trace::FlightRecorder) — instead of
-    /// the default no-op.  Per-node shards are forked off this tracer and
+    /// the default no-op.  Each node records into a fork of this tracer,
     /// drained back in node order at every barrier, so the merged timeline
-    /// is identical whether nodes advance sharded or
-    /// [`sequential`](ClusterSessionBuilder::sequential).  Retrieve the
-    /// tracer with [`ClusterSession::run_traced`].
+    /// has one fixed order.  Retrieve the tracer with
+    /// [`ClusterSession::run_traced`].
     pub fn tracer<T2: Tracer>(self, tracer: T2) -> ClusterSessionBuilder<'w, Sched<T2>> {
         ClusterSessionBuilder {
             nodes: self.nodes,
@@ -326,8 +329,9 @@ impl<'w, T: Tracer> ClusterSessionBuilder<'w, Sched<T>> {
 // ---------------------------------------------------------------------------
 
 /// A fully configured cluster run, ready to execute; see
-/// [`ClusterSessionBuilder`] for the configuration surface and the module
-/// docs for the `Manager` migration table.
+/// [`ClusterSessionBuilder`] for the configuration surface.  Which `run`
+/// methods it has depends on the mode `M`: [`Headless`], [`Recorded`] or
+/// [`Sched`].
 pub struct ClusterSession<'w, M = Headless> {
     nodes: Vec<NodeConfig>,
     policy: PolicyKind,
@@ -524,7 +528,7 @@ where
     }
 }
 
-impl<'w, T: Tracer + Send> ClusterSession<'w, Sched<T>> {
+impl<'w, T: Tracer> ClusterSession<'w, Sched<T>> {
     /// Run the online scheduler: the workload becomes one cluster-wide
     /// arrival stream, and the configured discipline makes live
     /// queueing/placement/preemption decisions at every quantum barrier.
@@ -600,7 +604,7 @@ fn arrival_of(job: &JobRequest) -> sched::ArrivalSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Shared placement / drive plumbing (moved here from `Manager`)
+// Shared placement / drive plumbing
 // ---------------------------------------------------------------------------
 
 /// Place every job by moving it into its worker's plan (no per-job
@@ -952,9 +956,8 @@ mod tests {
 
     #[test]
     fn completion_lookup_spans_workers_via_placements() {
-        // The Manager::run migration note: labels come from zipping the
-        // plan's labels with `placements`, lookups from each worker's
-        // RunSummary.
+        // A job's label comes from zipping the plan's labels with
+        // `placements`; its completion from that worker's summary.
         let plan = WorkloadPlan::random_n(4, 3);
         let labels: Vec<String> = plan.jobs.iter().map(|j| j.label.clone()).collect();
         let out = base(2)

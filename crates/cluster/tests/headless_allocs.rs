@@ -279,14 +279,14 @@ fn headless_memory_is_o_completions() {
     assert_eq!(retained, workers * 2);
 }
 
-/// Allocations of one sequential FIFO scheduler run: the engine's
+/// Allocations of one FIFO scheduler run: the engine's
 /// per-quantum decision loop recycles its view buffers and each node
 /// recycles its measurement/waterfill scratch, so the cost must scale
 /// with the *jobs* (admissions, decisions, completions — plus the
 /// labeled plan built inside the window), not with the number of quantum
 /// barriers crossed on the way.
 ///
-/// A `.sequential(true)` run never leaves the calling thread, so its
+/// A scheduler run never leaves the calling thread, so its
 /// per-thread count is all of its heap traffic — and excludes what the
 /// test harness allocates meanwhile (spawning the next test's thread
 /// while this one counts), which would make exact comparisons racy.
@@ -297,7 +297,6 @@ fn allocs_of_sched_run(jobs: usize) -> u64 {
         .policy(PolicyKind::FlowCon(FlowConConfig::default()))
         .plan(WorkloadPlan::random_n(jobs, 0xC1A5))
         .scheduler(SchedPolicyKind::Fifo)
-        .sequential(true)
         .build()
         .run();
     assert_eq!(out.completed_jobs(), jobs, "jobs conserved");
@@ -332,17 +331,13 @@ fn warm_sketch_inserts_are_allocation_free() {
 
 /// Like [`allocs_of_sched_run`], but with an explicit tracer `T` threaded
 /// through `run_traced` (the counter stops before the recorder is read).
-fn allocs_of_traced_sched_run<T: flowcon_sim::trace::Tracer + Send>(
-    jobs: usize,
-    tracer: T,
-) -> (u64, T) {
+fn allocs_of_traced_sched_run<T: flowcon_sim::trace::Tracer>(jobs: usize, tracer: T) -> (u64, T) {
     let before = thread_allocations();
     let (out, tracer) = ClusterSession::builder()
         .nodes(4, NodeConfig::default().with_seed(0xF10C))
         .policy(PolicyKind::FlowCon(FlowConConfig::default()))
         .plan(WorkloadPlan::random_n(jobs, 0xC1A5))
         .scheduler(SchedPolicyKind::Fifo)
-        .sequential(true)
         .tracer(tracer)
         .build()
         .run_traced();

@@ -1,10 +1,10 @@
-//! Determinism and edge cases of the online cluster scheduler
-//! (ISSUE-7 satellite): same seed + same trace ⇒ bit-identical decision
-//! log and completion list, whether node advances run sequentially or on
-//! the sharded executor, and across repeated runs — for every built-in
-//! discipline.  Plus the preemption corners a discipline can reach:
-//! preempting at the very first barrier, migrating a job to the node it
-//! already occupies, and scheduling rounds with an empty admission queue.
+//! Determinism and edge cases of the online cluster scheduler: same
+//! seed + same trace ⇒ bit-identical decision log, completion list and
+//! traced timeline across repeated runs, with or without a tracer — for
+//! every built-in discipline.  Plus the preemption corners a discipline
+//! can reach: preempting at the very first barrier, migrating a job to
+//! the node it already occupies, and scheduling rounds with an empty
+//! admission queue.
 
 use flowcon_cluster::{
     ClusterPolicy, ClusterSession, ClusterSessionBuilder, ClusterView, PolicyKind, Sched,
@@ -22,70 +22,65 @@ fn base(workers: usize) -> ClusterSessionBuilder<'static, Sched> {
         .scheduler(SchedPolicyKind::Fifo)
 }
 
-fn run(kind: SchedPolicyKind, sequential: bool) -> SchedOutcome {
+fn run(kind: SchedPolicyKind) -> SchedOutcome {
     base(4)
         .plan(WorkloadPlan::random_n(24, 0xC1A5))
         .scheduler(kind)
-        .sequential(sequential)
         .build()
         .run()
 }
 
 #[test]
-fn decision_logs_are_bit_identical_across_advance_modes() {
-    for kind in SchedPolicyKind::ALL {
-        let seq = run(kind, true);
-        let shard = run(kind, false);
-        // `SchedOutcome` is PartialEq over the decision log, the exact
-        // completion times, and the stream accounting — full bit-compare.
-        assert_eq!(seq, shard, "{} diverged across advance modes", kind.name());
-        assert_eq!(seq.completed_jobs(), 24, "{} lost jobs", kind.name());
-    }
-}
-
-#[test]
 fn repeated_runs_are_bit_identical() {
     for kind in SchedPolicyKind::ALL {
-        let a = run(kind, false);
-        let b = run(kind, false);
+        let a = run(kind);
+        let b = run(kind);
+        // `SchedOutcome` is PartialEq over the decision log, the exact
+        // completion times, and the stream accounting — full bit-compare.
         assert_eq!(a, b, "{} is not reproducible", kind.name());
+        assert_eq!(a.completed_jobs(), 24, "{} lost jobs", kind.name());
     }
 }
 
-fn run_traced(kind: SchedPolicyKind, sequential: bool) -> (SchedOutcome, FlightRecorder) {
+fn run_traced(kind: SchedPolicyKind) -> (SchedOutcome, FlightRecorder) {
     base(4)
         .plan(WorkloadPlan::random_n(24, 0xC1A5))
         .scheduler(kind)
-        .sequential(sequential)
         .tracer(FlightRecorder::with_capacity(1 << 14))
         .build()
         .run_traced()
 }
 
 #[test]
-fn traced_timelines_are_bit_identical_across_advance_modes() {
-    // The flight-recorder merge (per-node forks absorbed in node-index
-    // order at each barrier) must make the sharded run's timeline — down
-    // to the exported Chrome JSON byte stream — identical to the
-    // sequential run's, for every built-in discipline.
+fn traced_runs_are_reproducible_and_match_the_untraced_run() {
+    // Tracing observes a run without steering it, and the flight-recorder
+    // merge (per-node forks absorbed in node-index order at each barrier)
+    // fixes the timeline's order — down to the exported Chrome JSON byte
+    // stream — for every built-in discipline.
     for kind in SchedPolicyKind::ALL {
-        let (seq_out, seq_rec) = run_traced(kind, true);
-        let (shard_out, shard_rec) = run_traced(kind, false);
-        assert_eq!(seq_out, shard_out, "{} outcome diverged", kind.name());
-        assert_eq!(seq_rec.dropped(), 0, "{} dropped events", kind.name());
-        assert_eq!(shard_rec.dropped(), 0, "{} dropped events", kind.name());
-        let seq_events = seq_rec.events();
-        let shard_events = shard_rec.events();
-        assert!(!seq_events.is_empty(), "{} recorded nothing", kind.name());
+        let (out, rec) = run_traced(kind);
+        let (again_out, again_rec) = run_traced(kind);
         assert_eq!(
-            seq_events,
-            shard_events,
-            "{} timeline diverged across advance modes",
+            out,
+            run(kind),
+            "{} tracing changed the outcome",
+            kind.name()
+        );
+        assert_eq!(out, again_out, "{} outcome diverged", kind.name());
+        assert_eq!(rec.dropped(), 0, "{} dropped events", kind.name());
+        assert_eq!(again_rec.dropped(), 0, "{} dropped events", kind.name());
+        let events = rec.events();
+        let again_events = again_rec.events();
+        assert!(!events.is_empty(), "{} recorded nothing", kind.name());
+        assert_eq!(
+            events,
+            again_events,
+            "{} timeline diverged across runs",
             kind.name()
         );
         assert_eq!(
-            flowcon_metrics::tracelog::chrome_trace_json(&seq_events, seq_rec.dropped()),
-            flowcon_metrics::tracelog::chrome_trace_json(&shard_events, shard_rec.dropped()),
+            flowcon_metrics::tracelog::chrome_trace_json(&events, rec.dropped()),
+            flowcon_metrics::tracelog::chrome_trace_json(&again_events, again_rec.dropped()),
             "{} exported JSON diverged",
             kind.name()
         );
@@ -138,7 +133,6 @@ fn preempting_at_the_first_barrier_still_drains_the_workload() {
     let out = base(2)
         .plan(WorkloadPlan::new(jobs))
         .discipline(Box::new(Thrash))
-        .sequential(true)
         .build()
         .run();
     assert_eq!(out.policy, "thrash");
@@ -185,10 +179,9 @@ fn migrating_to_the_same_node_is_a_logged_no_op() {
         .discipline(Box::new(SelfMigrate {
             inner: SchedPolicyKind::Fifo.build(),
         }))
-        .sequential(true)
         .build()
         .run();
-    let clean = base(3).plan(plan).sequential(true).build().run();
+    let clean = base(3).plan(plan).build().run();
 
     // Same-node migrations are logged but never applied.
     assert_eq!(noisy.migrations, 0);
@@ -219,11 +212,7 @@ fn an_empty_admission_queue_round_makes_no_decisions() {
     jobs[0].work_scale = 0.02;
     jobs[1].arrival = SimTime::from_secs(500_000);
     jobs[1].work_scale = 0.02;
-    let out = base(2)
-        .plan(WorkloadPlan::new(jobs))
-        .sequential(true)
-        .build()
-        .run();
+    let out = base(2).plan(WorkloadPlan::new(jobs)).build().run();
     assert_eq!(out.completed_jobs(), 2);
     assert_eq!(
         out.decisions.len(),
@@ -239,11 +228,7 @@ fn an_empty_admission_queue_round_makes_no_decisions() {
 
 #[test]
 fn an_empty_workload_runs_no_rounds() {
-    let out = base(2)
-        .plan(WorkloadPlan::new(Vec::new()))
-        .sequential(true)
-        .build()
-        .run();
+    let out = base(2).plan(WorkloadPlan::new(Vec::new())).build().run();
     assert_eq!(out.completed_jobs(), 0);
     assert!(out.decisions.is_empty());
     assert_eq!(out.makespan_secs(), 0.0);

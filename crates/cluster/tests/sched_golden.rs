@@ -69,7 +69,6 @@ fn run(kind: SchedPolicyKind) -> SchedOutcome {
         .scheduler(kind)
         .quantum(SimDuration::from_secs(10))
         .slots_per_node(2)
-        .sequential(true)
         .build()
         .run()
 }
