@@ -2,13 +2,13 @@
 //! scheduler cost (the paper's overhead discussion, §5 Remark).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flowcon_container::ContainerId;
 use flowcon_core::algorithm::run_algorithm1;
 use flowcon_core::config::FlowConConfig;
 use flowcon_core::listener::Listener;
 use flowcon_core::lists::Lists;
 use flowcon_core::metric::GrowthMeasurement;
 use flowcon_sim::rng::SimRng;
+use flowcon_sim::ContainerId;
 
 fn measurements(n: usize, seed: u64) -> Vec<GrowthMeasurement> {
     let mut rng = SimRng::new(seed);

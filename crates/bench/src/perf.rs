@@ -14,7 +14,6 @@
 use std::time::{Duration, Instant};
 
 use flowcon_cluster::{ClusterSession, Horizon, PolicyKind, SchedPolicyKind, TraceSource};
-use flowcon_container::ContainerId;
 use flowcon_core::algorithm::run_algorithm1;
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_core::lists::Lists;
@@ -29,6 +28,7 @@ use flowcon_sim::engine::{Scheduler, SimEngine, Simulation};
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::trace::{FlightRecorder, Tracer};
+use flowcon_sim::ContainerId;
 use flowcon_workload::{ArrivalProcess, StreamSource, SyntheticStreamSource};
 
 /// One micro-benchmark's aggregated result.

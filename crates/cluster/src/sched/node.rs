@@ -17,7 +17,6 @@
 //! a scheduler run reproducible bit for bit (pinned by
 //! `crates/cluster/tests/sched_determinism.rs`).
 
-use flowcon_container::{ContainerId, Workload};
 use flowcon_core::config::NodeConfig;
 use flowcon_core::kernel::NodeKernel;
 use flowcon_core::policy::ResourcePolicy;
@@ -25,12 +24,9 @@ use flowcon_dl::{ModelId, ModelSpec, TrainingJob};
 use flowcon_sim::rng::SimRng;
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::trace::{NoopTracer, Tracer};
+use flowcon_sim::ContainerId;
 
 use super::policy::RunningJobView;
-
-/// Remaining work at or below this is "finished" — keeps the inner
-/// advance loop from chasing femtosecond tails.
-const EPS_REMAINING: f64 = 1e-9;
 
 /// A job completion observed by a node mid-quantum, at its exact time.
 #[derive(Debug, Clone, Copy)]
@@ -75,10 +71,6 @@ impl SlotJob {
 /// The container id of slot `idx`.
 fn slot_id(idx: usize) -> ContainerId {
     ContainerId::from_raw(idx as u32)
-}
-
-fn remaining_of(job: &TrainingJob) -> f64 {
-    job.remaining_cpu_seconds().unwrap_or(0.0)
 }
 
 /// One node of the scheduled cluster: job slots over a node kernel +
@@ -157,7 +149,7 @@ impl<T: Tracer> NodeSim<T> {
     pub(crate) fn fill_views(&self, out: &mut Vec<RunningJobView>) {
         for (idx, slot) in self.slots.iter().enumerate() {
             if let Some(slot) = slot {
-                let remaining = remaining_of(self.kernel.job(slot_id(idx)));
+                let remaining = self.kernel.job(slot_id(idx)).remaining_cpu_seconds();
                 out.push(RunningJobView {
                     id: slot.gid,
                     attained_cpu_secs: slot.attained(remaining),
@@ -197,7 +189,7 @@ impl<T: Tracer> NodeSim<T> {
             model,
             arrival,
             placed_at: now,
-            rem_at_place: remaining_of(&job),
+            rem_at_place: job.remaining_cpu_seconds(),
             base_attained,
         });
         self.kernel.admit(slot_id(idx), job, now);
@@ -225,7 +217,7 @@ impl<T: Tracer> NodeSim<T> {
         let slot = self.slots[idx]
             .take()
             .expect("slot occupancy checked above");
-        let rem = remaining_of(self.kernel.job(slot_id(idx)));
+        let rem = self.kernel.job(slot_id(idx)).remaining_cpu_seconds();
         let total = ModelSpec::of(slot.model).total_work;
         let out = PreemptedJob {
             model: slot.model,
@@ -278,7 +270,7 @@ impl<T: Tracer> NodeSim<T> {
 
             let dt = target.saturating_since(self.now).as_secs_f64();
             if dt > 0.0 {
-                self.kernel.integrate(target, dt);
+                self.kernel.integrate(dt);
                 for &rate in self.kernel.rated().1 {
                     self.busy_cpu_secs += rate * dt;
                 }
@@ -286,12 +278,10 @@ impl<T: Tracer> NodeSim<T> {
             }
             self.now = target;
 
-            // Collect exact-time completions.
+            // Collect exact-time completions under the kernel's rule, the
+            // one the worker applies.
             let now = self.now;
-            if self
-                .kernel
-                .reap(|job| (remaining_of(job) <= EPS_REMAINING).then_some(0))
-            {
+            if self.kernel.reap_terminated() {
                 for &(id, _) in self.kernel.exited() {
                     let slot = self.slots[id.index()]
                         .take()

@@ -789,7 +789,6 @@ mod tests {
     use crate::placement::Spread;
     use flowcon_core::config::FlowConConfig;
     use flowcon_core::recorder::FullRecorder;
-    use flowcon_core::worker::RunResult;
     use flowcon_workload::stream::Horizon;
 
     fn node() -> NodeConfig {
@@ -841,16 +840,15 @@ mod tests {
             .recorder(|_| FullRecorder::new())
             .build()
             .run();
-        let workers: Vec<RunResult> = out.workers.into_iter().map(RunResult::from).collect();
         assert_eq!(
-            workers
+            out.workers
                 .iter()
-                .map(|w| w.summary.completions.len())
+                .map(|w| w.output.completions.len())
                 .sum::<usize>(),
             8
         );
-        for w in &workers {
-            assert_eq!(w.summary.policy, "FlowCon-5%-20");
+        for w in &out.workers {
+            assert_eq!(w.output.policy, "FlowCon-5%-20");
         }
     }
 

@@ -2,11 +2,12 @@
 //!
 //! [`TrainingJob`] is the payload a container runs: it consumes effective
 //! CPU-seconds, walks its model's convergence curve, and exposes the noisy
-//! evaluation-function value FlowCon's Container Monitor samples.
+//! evaluation-function value FlowCon's Container Monitor samples.  It is
+//! the only payload: the node kernel, the scheduler's nodes and the
+//! real-thread runtime call its methods directly.
 
-use flowcon_container::workload::{Workload, WorkloadStatus};
+use flowcon_sim::resources::ResourceVec;
 use flowcon_sim::rng::SimRng;
-use flowcon_sim::time::SimTime;
 
 use crate::models::ModelSpec;
 
@@ -118,18 +119,29 @@ impl TrainingJob {
         let abs = 0.002 * self.spec.eval.magnitude() * self.rng.normal();
         self.last_eval = Some(converged + distance * rel + abs);
     }
-}
 
-impl Workload for TrainingJob {
-    fn label(&self) -> &str {
+    /// Human-readable instance label, e.g. `MNIST (Tensorflow)`.
+    pub fn label(&self) -> &str {
         &self.label
     }
 
-    fn demand(&self) -> f64 {
+    /// The largest CPU fraction this job can exploit: real DL jobs rarely
+    /// scale to a full node (paper Fig. 11, 0–50 s), so the allocator
+    /// treats this as a demand ceiling.
+    pub fn demand(&self) -> f64 {
         self.spec.demand
     }
 
-    fn advance(&mut self, _now: SimTime, cpu_seconds: f64) {
+    /// Steady non-CPU usage rates while running (memory fraction held,
+    /// block-I/O and network-I/O bandwidth fractions) for the Container
+    /// Monitor's four-resource accounting (§3.2.1).  The CPU component is
+    /// ignored: the allocator decides CPU.
+    pub fn footprint(&self) -> ResourceVec {
+        self.spec.footprint
+    }
+
+    /// Consume `cpu_seconds` of effective CPU time.
+    pub fn advance(&mut self, cpu_seconds: f64) {
         debug_assert!(cpu_seconds >= 0.0);
         self.done = (self.done + cpu_seconds).min(self.total_work);
         if self.progress() >= WARMUP_FRACTION {
@@ -137,27 +149,27 @@ impl Workload for TrainingJob {
         }
     }
 
-    fn eval(&self, _now: SimTime) -> Option<f64> {
+    /// The latest evaluation-function value (loss, accuracy, ...), or
+    /// `None` before the job has emitted one (still importing data) —
+    /// FlowCon must tolerate this.
+    pub fn eval(&self) -> Option<f64> {
         self.last_eval
     }
 
-    fn status(&self) -> WorkloadStatus {
-        if let Some(code) = self.failed {
-            return WorkloadStatus::Failed(code);
+    /// The exit code the container reports once the job has ended:
+    /// `None` while it runs, `Some(0)` once converged, the crash code
+    /// after an injected failure.
+    pub fn exit_code(&self) -> Option<i32> {
+        if self.failed.is_some() {
+            return self.failed;
         }
-        if self.done >= self.total_work {
-            WorkloadStatus::Finished
-        } else {
-            WorkloadStatus::Running
-        }
+        (self.done >= self.total_work).then_some(0)
     }
 
-    fn remaining_cpu_seconds(&self) -> Option<f64> {
-        Some((self.total_work - self.done).max(0.0))
-    }
-
-    fn footprint(&self) -> flowcon_sim::resources::ResourceVec {
-        self.spec.footprint
+    /// Effective CPU-seconds left until completion; the fluid advance
+    /// projects the next completion from it.
+    pub fn remaining_cpu_seconds(&self) -> f64 {
+        (self.total_work - self.done).max(0.0)
     }
 }
 
@@ -174,17 +186,17 @@ mod tests {
     #[test]
     fn fresh_job_has_no_measurement() {
         let j = job(ModelId::MnistTf, 1);
-        assert_eq!(j.eval(SimTime::ZERO), None, "warm-up emits nothing");
-        assert_eq!(j.status(), WorkloadStatus::Running);
+        assert_eq!(j.eval(), None, "warm-up emits nothing");
+        assert_eq!(j.exit_code(), None);
     }
 
     #[test]
     fn advance_decreases_loss_monotonically_modulo_noise() {
         let mut j = job(ModelId::MnistTorch, 2);
         let mut evals = Vec::new();
-        for step in 1..=50 {
-            j.advance(SimTime::from_secs(step), 2.0);
-            if let Some(e) = j.eval(SimTime::from_secs(step)) {
+        for _ in 0..50 {
+            j.advance(2.0);
+            if let Some(e) = j.eval() {
                 evals.push(e);
             }
         }
@@ -202,21 +214,21 @@ mod tests {
     fn completes_after_total_work() {
         let mut j = job(ModelId::MnistTf, 3);
         let spec_total = ModelSpec::of(ModelId::MnistTf).total_work;
-        let total = j.remaining_cpu_seconds().unwrap();
+        let total = j.remaining_cpu_seconds();
         assert!(
             (total - spec_total).abs() < spec_total * 0.04,
             "jittered total {total} vs spec {spec_total}"
         );
-        j.advance(SimTime::from_secs(100), total + 1.0);
-        assert_eq!(j.status(), WorkloadStatus::Finished);
+        j.advance(total + 1.0);
+        assert_eq!(j.exit_code(), Some(0));
         assert!((j.progress() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn work_jitter_varies_by_instance_but_is_seed_stable() {
-        let a = job(ModelId::Vae, 7).remaining_cpu_seconds().unwrap();
-        let b = job(ModelId::Vae, 8).remaining_cpu_seconds().unwrap();
-        let a2 = job(ModelId::Vae, 7).remaining_cpu_seconds().unwrap();
+        let a = job(ModelId::Vae, 7).remaining_cpu_seconds();
+        let b = job(ModelId::Vae, 8).remaining_cpu_seconds();
+        let a2 = job(ModelId::Vae, 7).remaining_cpu_seconds();
         assert_ne!(a, b, "different seeds jitter differently");
         assert_eq!(a, a2, "same seed reproduces");
     }
@@ -225,8 +237,8 @@ mod tests {
     fn accuracy_tracks_curve_times_final() {
         let mut j = job(ModelId::Gru, 4);
         assert_eq!(j.accuracy(), 0.0);
-        let total = j.remaining_cpu_seconds().unwrap();
-        j.advance(SimTime::from_secs(1), total);
+        let total = j.remaining_cpu_seconds();
+        j.advance(total);
         assert!((j.accuracy() - 0.932).abs() < 1e-9);
     }
 
@@ -234,18 +246,29 @@ mod tests {
     fn failure_injection_overrides_completion() {
         let mut j = job(ModelId::MnistTf, 5);
         j.inject_failure(139);
-        assert_eq!(j.status(), WorkloadStatus::Failed(139));
+        assert_eq!(j.exit_code(), Some(139));
     }
 
     #[test]
     fn noise_is_small_relative_to_signal() {
         let mut j = job(ModelId::MnistTorch, 6);
-        j.advance(SimTime::from_secs(1), 10.0);
+        j.advance(10.0);
         let truth = j.true_eval();
-        let measured = j.eval(SimTime::from_secs(1)).unwrap();
+        let measured = j.eval().unwrap();
         assert!(
             (measured - truth).abs() < 0.2 * truth.max(0.1),
             "measured {measured} truth {truth}"
         );
+    }
+
+    #[test]
+    fn exit_code_follows_the_job() {
+        let mut j = job(ModelId::MnistTf, 9);
+        assert_eq!(j.exit_code(), None, "running");
+        let total = j.remaining_cpu_seconds();
+        j.advance(total + 1.0);
+        assert_eq!(j.exit_code(), Some(0), "converged");
+        j.inject_failure(137);
+        assert_eq!(j.exit_code(), Some(137), "a crash overrides convergence");
     }
 }

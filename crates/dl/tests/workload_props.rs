@@ -1,11 +1,9 @@
 //! Property-based tests on the DL workload substrate: the invariants the
 //! growth-efficiency metric implicitly assumes.
 
-use flowcon_container::workload::{Workload, WorkloadStatus};
 use flowcon_dl::models::{ModelSpec, ALL_MODELS};
 use flowcon_dl::TrainingJob;
 use flowcon_sim::rng::SimRng;
-use flowcon_sim::time::SimTime;
 use proptest::prelude::*;
 
 fn arb_model() -> impl Strategy<Value = ModelSpec> {
@@ -24,10 +22,8 @@ proptest! {
         let mut rng = SimRng::new(seed);
         let mut job = TrainingJob::new(spec, &mut rng);
         let mut last_quality = job.quality();
-        let mut t = 0u64;
         for step in steps {
-            t += 1;
-            job.advance(SimTime::from_secs(t), step);
+            job.advance(step);
             let q = job.quality();
             prop_assert!(q >= last_quality - 1e-12, "quality decreased");
             prop_assert!((0.0..=1.0).contains(&q));
@@ -45,7 +41,7 @@ proptest! {
     ) {
         let mut rng = SimRng::new(seed);
         let mut job = TrainingJob::new(spec.clone(), &mut rng);
-        job.advance(SimTime::from_secs(1), consumed);
+        job.advance(consumed);
         let v = job.true_eval();
         let lo = spec.eval.initial.min(spec.eval.converged);
         let hi = spec.eval.initial.max(spec.eval.converged);
@@ -61,8 +57,8 @@ proptest! {
     ) {
         let mut rng = SimRng::new(seed);
         let mut job = TrainingJob::new(spec.clone(), &mut rng);
-        job.advance(SimTime::from_secs(1), consumed);
-        if let Some(e) = job.eval(SimTime::from_secs(1)) {
+        job.advance(consumed);
+        if let Some(e) = job.eval() {
             prop_assert!(e.is_finite());
             let truth = job.true_eval();
             let tol = 0.25 * spec.eval.magnitude().max(0.1);
@@ -70,8 +66,8 @@ proptest! {
         }
     }
 
-    /// `remaining + consumed == total` up to clamping, and status flips to
-    /// Finished exactly when remaining hits zero.
+    /// `remaining + consumed == total` up to clamping, and the exit code
+    /// flips to 0 exactly when remaining hits zero.
     #[test]
     fn work_accounting_is_consistent(
         spec in arb_model(),
@@ -80,19 +76,19 @@ proptest! {
     ) {
         let mut rng = SimRng::new(seed);
         let mut job = TrainingJob::new(spec, &mut rng);
-        let total = job.remaining_cpu_seconds().unwrap();
+        let total = job.remaining_cpu_seconds();
         let mut consumed = 0.0;
-        for (i, f) in fractions.iter().enumerate() {
+        for f in &fractions {
             let step = f * total;
-            job.advance(SimTime::from_secs(i as u64 + 1), step);
+            job.advance(step);
             consumed += step;
-            let remaining = job.remaining_cpu_seconds().unwrap();
+            let remaining = job.remaining_cpu_seconds();
             prop_assert!(
                 (remaining - (total - consumed).max(0.0)).abs() < 1e-6,
                 "remaining {remaining}, expected {}",
                 (total - consumed).max(0.0)
             );
-            let done = job.status() == WorkloadStatus::Finished;
+            let done = job.exit_code() == Some(0);
             prop_assert_eq!(done, remaining <= 0.0);
         }
     }
@@ -116,7 +112,6 @@ proptest! {
             let mut rng = SimRng::new(s);
             TrainingJob::new(spec.clone(), &mut rng)
                 .remaining_cpu_seconds()
-                .unwrap()
         };
         prop_assert_eq!(mk(seed), mk(seed));
         let spread = (mk(seed) - spec.total_work).abs();

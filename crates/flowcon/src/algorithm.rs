@@ -18,7 +18,7 @@
 //! pushes an old slow job down to its lower bound the moment a new job
 //! arrives.
 
-use flowcon_container::ContainerId;
+use flowcon_sim::ContainerId;
 
 use crate::config::FlowConConfig;
 use crate::lists::{ListKind, Lists};

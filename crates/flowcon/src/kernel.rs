@@ -27,15 +27,16 @@
 //!   source-fed and open-loop sessions, with ids allocated sequentially
 //!   ([`NodeKernel::next_id`]);
 //! * the cluster scheduler's barrier-driven node, which reuses the lowest
-//!   free slot and applies its own completion rule through
-//!   [`NodeKernel::reap`].
+//!   free slot.
+//!
+//! Both decide that a job has finished the same way:
+//! [`NodeKernel::reap_terminated`] reads [`TrainingJob::exit_code`].
 
-use flowcon_container::{exit_code_for, ContainerId, ResourceLimits, UpdateOptions, Workload};
 use flowcon_dl::TrainingJob;
 use flowcon_sim::alloc::{waterfill_soft_into, AllocRequest, WaterfillScratch};
 use flowcon_sim::time::{SimDuration, SimTime};
 use flowcon_sim::trace::{TraceKind, Tracer};
-use flowcon_sim::{ResourceKind, ResourceVec, RESOURCE_KINDS};
+use flowcon_sim::{ContainerId, ResourceKind, ResourceVec, RESOURCE_KINDS};
 
 use crate::config::NodeConfig;
 use crate::metric::{progress_score, GrowthMeasurement};
@@ -45,7 +46,21 @@ use crate::policy::ResourcePolicy;
 /// reuses its previous measurement instead of rebasing.
 const MIN_INTERVAL_SECS: f64 = 0.1;
 
-/// One container's record: creation time, soft limits, cumulative usage.
+/// A policy's CPU limit as the container gets it: a finite value is
+/// clamped to `[0, 1]` and a non-finite one means unlimited, so
+/// out-of-range policy output is coerced rather than corrupting the
+/// water-fill.
+#[inline]
+fn clamp_cpu_limit(limit: f64) -> f64 {
+    if limit.is_finite() {
+        limit.clamp(0.0, 1.0)
+    } else {
+        1.0
+    }
+}
+
+/// One container's record: creation time, CPU soft limit, cumulative
+/// usage.
 ///
 /// Kept `Copy` and small on purpose — `slot_records_stay_pod` asserts the
 /// size so a refactor cannot silently fatten the arena.
@@ -53,8 +68,9 @@ const MIN_INTERVAL_SECS: f64 = 0.1;
 struct ContainerSlot {
     /// Admission time (completion records need it).
     created_at: SimTime,
-    /// Soft limits, updated by `docker update`-style policy decisions.
-    limits: ResourceLimits,
+    /// CPU soft limit as a fraction of the node (`docker update --cpus`);
+    /// 1.0 is Docker's unlimited default.
+    cpu_limit: f64,
     /// Cumulative resource-time integral (the monitor's usage source).
     cumulative: ResourceVec,
     /// In the pool (running); cleared on exit.
@@ -170,8 +186,8 @@ pub struct NodeKernel {
     trace_mons: Vec<MonitorSlot>,
     /// Running container ids, ascending.
     live: Vec<ContainerId>,
-    /// `(id, exit code)` of the containers the last [`NodeKernel::reap`]
-    /// removed, in id order.
+    /// `(id, exit code)` of the containers the last
+    /// [`NodeKernel::reap_terminated`] removed, in id order.
     exited: Vec<(ContainerId, i32)>,
     /// Ids whose rates the last water-fill fixed, ascending.
     rate_ids: Vec<ContainerId>,
@@ -268,7 +284,7 @@ impl NodeKernel {
     /// Container `id`'s CPU soft limit.
     #[inline]
     pub fn cpu_limit(&self, id: ContainerId) -> f64 {
-        self.slots[id.index()].limits.cpu_limit()
+        self.slots[id.index()].cpu_limit
     }
 
     /// Start `job` in container `id` at `now`, unlimited and untracked
@@ -280,7 +296,7 @@ impl NodeKernel {
     pub fn admit(&mut self, id: ContainerId, job: TrainingJob, now: SimTime) {
         let slot = ContainerSlot {
             created_at: now,
-            limits: ResourceLimits::unlimited(),
+            cpu_limit: 1.0,
             cumulative: ResourceVec::ZERO,
             runnable: true,
         };
@@ -311,13 +327,14 @@ impl NodeKernel {
         self.live.retain(|&l| l != id);
     }
 
-    /// Remove every live container whose job `exit` says has ended,
-    /// recording `(id, exit code)` pairs in id order (read them back with
-    /// [`NodeKernel::exited`]).  Returns whether any container exited.
-    pub fn reap(&mut self, exit: impl Fn(&TrainingJob) -> Option<i32>) -> bool {
+    /// Remove every live container whose job has ended (converged or
+    /// crashed), recording `(id, exit code)` pairs in id order (read them
+    /// back with [`NodeKernel::exited`]).  Returns whether any container
+    /// exited.
+    pub fn reap_terminated(&mut self) -> bool {
         self.exited.clear();
         let (jobs, slots, exited) = (&self.jobs, &mut self.slots, &mut self.exited);
-        self.live.retain(|&id| match exit(&jobs[id.index()]) {
+        self.live.retain(|&id| match jobs[id.index()].exit_code() {
             Some(code) => {
                 exited.push((id, code));
                 slots[id.index()].runnable = false;
@@ -326,13 +343,6 @@ impl NodeKernel {
             None => true,
         });
         !self.exited.is_empty()
-    }
-
-    /// Reap every container whose workload has terminated, with the
-    /// exit code Docker would report.
-    #[inline]
-    pub fn reap_terminated(&mut self) -> bool {
-        self.reap(|job| exit_code_for(job.status()))
     }
 
     /// Clear the exit record (nothing exited in this step).
@@ -384,7 +394,7 @@ impl NodeKernel {
         self.requests.clear();
         for &id in &self.live {
             self.requests.push(AllocRequest {
-                limit: self.slots[id.index()].limits.cpu_limit(),
+                limit: self.slots[id.index()].cpu_limit,
                 demand: self.jobs[id.index()].demand(),
                 weight: 1.0,
             });
@@ -414,7 +424,7 @@ impl NodeKernel {
             if !self.slots[idx].runnable {
                 return None;
             }
-            let remaining = self.jobs[idx].remaining_cpu_seconds()?;
+            let remaining = self.jobs[idx].remaining_cpu_seconds();
             let speed = self.rates[k] * self.efficiencies[k];
             if speed > 1e-12 {
                 let eta = remaining / speed;
@@ -424,11 +434,11 @@ impl NodeKernel {
         best
     }
 
-    /// Integrate `dt` seconds ending at `now` at the current rates: usage
-    /// accounting records the raw CPU occupancy (what `docker stats`
-    /// shows), job progress the occupancy times contention efficiency.
+    /// Integrate `dt` seconds at the current rates: usage accounting
+    /// records the raw CPU occupancy (what `docker stats` shows), job
+    /// progress the occupancy times contention efficiency.
     #[inline]
-    pub fn integrate(&mut self, now: SimTime, dt: f64) {
+    pub fn integrate(&mut self, dt: f64) {
         for (k, &id) in self.rate_ids.iter().enumerate() {
             let idx = id.index();
             if !self.slots[idx].runnable {
@@ -438,7 +448,7 @@ impl NodeKernel {
             let mut usage = self.jobs[idx].footprint();
             usage.set(ResourceKind::Cpu, rate);
             self.slots[idx].cumulative += usage.scale(dt);
-            self.jobs[idx].advance(now, rate * self.efficiencies[k] * dt);
+            self.jobs[idx].advance(rate * self.efficiencies[k] * dt);
         }
     }
 
@@ -462,9 +472,9 @@ impl NodeKernel {
             self.measures.push(mons[idx].measure(
                 id,
                 now,
-                self.jobs[idx].eval(now),
+                self.jobs[idx].eval(),
                 slot.cumulative,
-                slot.limits.cpu_limit(),
+                slot.cpu_limit,
             ));
         }
     }
@@ -477,7 +487,9 @@ impl NodeKernel {
 
     /// One Executor round: measure through the policy monitor, run the
     /// policy, and apply its limits to the containers still in the pool
-    /// (`docker update --cpus`).  Returns the policy's next interval.
+    /// (`docker update --cpus`; a finite limit is clamped to `[0, 1]`, a
+    /// non-finite one means unlimited).  Returns the policy's next
+    /// interval.
     ///
     /// Records a [`TraceKind::Reconfigure`] span at `now` under
     /// `trace_id`, carrying the pool size.
@@ -505,7 +517,7 @@ impl NodeKernel {
         self.algorithm_runs += 1;
         for &(id, limit) in &self.updates {
             if let Some(slot) = self.slots.get_mut(id.index()).filter(|s| s.runnable) {
-                slot.limits = UpdateOptions::new().cpus(limit).apply_to(slot.limits);
+                slot.cpu_limit = clamp_cpu_limit(limit);
                 self.update_calls += 1;
             }
         }
@@ -536,6 +548,7 @@ impl NodeKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric::GrowthMeasurement;
     use crate::policy::StaticEqualPolicy;
     use flowcon_dl::{ModelId, ModelSpec};
     use flowcon_sim::rng::SimRng;
@@ -574,8 +587,50 @@ mod tests {
         k.efficiencies = vec![1.0; rows.len()];
     }
 
+    /// A policy that sets every listed container to one scripted limit
+    /// per round, however far out of range.
+    struct Scripted {
+        ids: Vec<ContainerId>,
+        limit: f64,
+    }
+
+    impl ResourcePolicy for Scripted {
+        fn name(&self) -> String {
+            "scripted".to_string()
+        }
+
+        fn initial_interval(&self) -> Option<SimDuration> {
+            None
+        }
+
+        fn reconfigure_into(
+            &mut self,
+            _now: SimTime,
+            _measures: &[GrowthMeasurement],
+            updates: &mut Vec<(ContainerId, f64)>,
+        ) -> Option<SimDuration> {
+            updates.clear();
+            updates.extend(self.ids.iter().map(|&id| (id, self.limit)));
+            None
+        }
+
+        fn on_pool_change(&mut self, _now: SimTime, _pool_ids: &[ContainerId]) -> bool {
+            false
+        }
+    }
+
+    /// Apply one round of `limit` to container `id` and read it back.
+    fn apply_limit(k: &mut NodeKernel, id: ContainerId, limit: f64) -> f64 {
+        let mut policy = Scripted {
+            ids: vec![id],
+            limit,
+        };
+        k.reconfigure(t(0), &mut policy, &mut NoopTracer, 0);
+        k.cpu_limit(id)
+    }
+
     fn remaining(k: &NodeKernel, id: ContainerId) -> f64 {
-        k.job(id).remaining_cpu_seconds().unwrap()
+        k.job(id).remaining_cpu_seconds()
     }
 
     /// A one-container node admitted at t=0, running at rate 0.5.
@@ -599,15 +654,15 @@ mod tests {
     fn second_measurement_computes_growth_from_deltas() {
         let (mut k, id) = setup();
         // Past the job's warm-up, so both samples carry an evaluation.
-        k.integrate(t(20), 20.0);
+        k.integrate(20.0);
         k.measure_into(t(20), Monitor::Policy);
-        let before = k.job(id).eval(t(20)).unwrap();
+        let before = k.job(id).eval().unwrap();
         // 20 s at rate 0.5: R = 10 cpu-s / 20 s = 0.5 exactly.
-        k.integrate(t(40), 20.0);
+        k.integrate(20.0);
         k.measure_into(t(40), Monitor::Policy);
         let m = &k.measures()[0];
         assert_eq!(m.avg_cpu(), 0.5);
-        let after = k.job(id).eval(t(40)).unwrap();
+        let after = k.job(id).eval().unwrap();
         assert_eq!(m.progress, Some((after - before).abs() / 20.0));
         assert!(m.growth().is_some());
     }
@@ -616,12 +671,12 @@ mod tests {
     fn tiny_interval_reuses_cached_measurement() {
         let (mut k, _) = setup();
         k.measure_into(t(0), Monitor::Policy);
-        k.integrate(t(20), 20.0);
+        k.integrate(20.0);
         k.measure_into(t(20), Monitor::Policy);
         let first = k.measures()[0].clone();
         // An interrupt 1 ms later must not rebase onto a 1 ms interval.
         let later = SimTime::from_micros(20_001_000);
-        k.integrate(later, 0.001);
+        k.integrate(0.001);
         k.measure_into(later, Monitor::Policy);
         assert_eq!(k.measures()[0], first);
     }
@@ -629,9 +684,9 @@ mod tests {
     #[test]
     fn the_two_monitors_rebase_independently() {
         let (mut k, _) = setup();
-        k.integrate(t(20), 20.0);
+        k.integrate(20.0);
         k.measure_into(t(20), Monitor::Policy);
-        k.integrate(t(40), 20.0);
+        k.integrate(20.0);
         // The trace monitor sees this container for the first time.
         k.measure_into(t(40), Monitor::Trace);
         assert_eq!(k.measures()[0].growth(), None);
@@ -704,7 +759,7 @@ mod tests {
         let (mut k, id) = setup();
         let total = remaining(&k, id);
         k.efficiencies[0] = 0.5;
-        k.integrate(t(10), 10.0);
+        k.integrate(10.0);
         // Usage records the raw occupancy; progress pays the contention.
         assert_eq!(k.slots[id.index()].cumulative.get(ResourceKind::Cpu), 5.0);
         assert!((total - remaining(&k, id) - 2.5).abs() < 1e-9);
@@ -726,17 +781,40 @@ mod tests {
     }
 
     #[test]
+    fn admitted_containers_are_unlimited() {
+        let mut k = NodeKernel::new();
+        let ids = admit_n(&mut k, 3, t(0), &mut SimRng::new(9));
+        apply_limit(&mut k, ids[1], 0.25);
+        // A reused slot starts over at Docker's no-limit default.
+        k.remove(ids[1]);
+        k.admit(ids[1], job(&mut SimRng::new(10)), t(1));
+        for id in ids {
+            assert_eq!(k.cpu_limit(id), 1.0);
+        }
+    }
+
+    #[test]
+    fn policy_limits_are_clamped_to_the_unit_interval() {
+        let (mut k, id) = setup();
+        assert_eq!(apply_limit(&mut k, id, 0.4), 0.4, "in range: as given");
+        assert_eq!(apply_limit(&mut k, id, 1.7), 1.0);
+        assert_eq!(apply_limit(&mut k, id, -0.3), 0.0);
+        assert_eq!(apply_limit(&mut k, id, f64::NAN), 1.0, "NaN: unlimited");
+        assert_eq!(apply_limit(&mut k, id, f64::NEG_INFINITY), 1.0);
+    }
+
+    #[test]
     fn advance_exits_exactly_on_work_completion() {
         let (mut k, id) = setup();
         let total = remaining(&k, id);
         // 80% of the work at rate 0.5: still running.
         let first = 1.6 * total;
-        k.integrate(SimTime::from_secs_f64(first), first);
+        k.integrate(first);
         assert!(!k.reap_terminated());
         assert!(k.exited().is_empty());
         // The rest: clean convergence, exit code 0.
         let rest = 0.4 * total + 1e-6;
-        k.integrate(SimTime::from_secs_f64(first + rest), rest);
+        k.integrate(rest);
         assert!(k.reap_terminated());
         assert_eq!(k.exited(), &[(id, 0)]);
     }
@@ -748,7 +826,7 @@ mod tests {
         // Finish two workloads without advancing the clock.
         for &id in &[ids[2], ids[0]] {
             let work = remaining(&k, id);
-            k.job_mut(id).advance(t(1), work);
+            k.job_mut(id).advance(work);
         }
         assert_eq!(k.live().len(), 3, "not yet reaped");
         assert!(k.reap_terminated());
@@ -765,7 +843,7 @@ mod tests {
     fn non_cpu_kinds_are_tracked() {
         let (mut k, id) = setup();
         let footprint = k.job(id).footprint();
-        k.integrate(t(4), 4.0);
+        k.integrate(4.0);
         let cumulative = k.slots[id.index()].cumulative;
         for kind in [
             ResourceKind::Memory,
@@ -785,15 +863,27 @@ mod tests {
             let mut k = NodeKernel::new();
             let id = k.next_id();
             k.admit(id, job_scaled(1e6, &mut SimRng::new(8)), t(0));
-            let (mut clock, mut expected) = (0.0, 0.0);
+            let mut expected = 0.0;
             for (rate, dt) in steps {
-                clock += dt;
                 expected += rate * dt;
                 set_rates(&mut k, &[(id, rate)]);
-                k.integrate(SimTime::from_secs_f64(clock), dt);
+                k.integrate(dt);
             }
             let got = k.slots[id.index()].cumulative.get(ResourceKind::Cpu);
             prop_assert!((got - expected).abs() < 1e-6, "got {got}, expected {expected}");
+        }
+
+        /// No sequence of policy updates, in range or not, leaves a CPU
+        /// limit outside [0, 1].
+        #[test]
+        fn policy_update_sequences_keep_limits_valid(
+            updates in prop::collection::vec(-2.0f64..=3.0, 1..50),
+        ) {
+            let (mut k, id) = setup();
+            for v in updates {
+                let l = apply_limit(&mut k, id, v);
+                prop_assert!((0.0..=1.0).contains(&l), "limit {l}");
+            }
         }
     }
 
@@ -801,7 +891,7 @@ mod tests {
     fn slot_records_stay_pod() {
         // The arenas are the density story: a fatter record is a silent
         // memory regression at a million workers.
-        assert_eq!(std::mem::size_of::<ContainerSlot>(), 80);
+        assert_eq!(std::mem::size_of::<ContainerSlot>(), 56);
         assert_eq!(std::mem::size_of::<MonitorSlot>(), 112);
         assert_eq!(std::mem::size_of::<ContainerId>(), 4);
     }

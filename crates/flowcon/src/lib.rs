@@ -63,4 +63,4 @@ pub use metric::{growth_efficiency, progress_score, GrowthMeasurement};
 pub use policy::{FairSharePolicy, FlowConPolicy, ResourcePolicy, StaticEqualPolicy};
 pub use recorder::{CompletionsOnly, FullRecorder, Recorder, SamplingRecorder};
 pub use session::{Session, SessionBuilder, SessionResult, StreamResult};
-pub use worker::{RunResult, WorkerScratch};
+pub use worker::WorkerScratch;

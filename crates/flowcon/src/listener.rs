@@ -15,7 +15,7 @@
 //! "lightweight background-listeners track the container states in
 //! real-time" (§4.3) without polling.
 
-use flowcon_container::ContainerId;
+use flowcon_sim::ContainerId;
 
 use crate::lists::Lists;
 

@@ -17,7 +17,7 @@
 //! `observe` path is a branch-free array write with no tree rebalancing and
 //! no heap traffic, and `all_completing` is an O(1) counter compare.
 
-use flowcon_container::ContainerId;
+use flowcon_sim::ContainerId;
 
 /// Which list a container occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

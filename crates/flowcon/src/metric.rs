@@ -19,7 +19,7 @@
 //! a near-zero denominator when a container was throttled to almost nothing
 //! for the whole interval.
 
-use flowcon_container::ContainerId;
+use flowcon_sim::ContainerId;
 
 /// Minimum average-usage denominator; below this the measurement interval
 /// carried so little compute that G would be pure noise.

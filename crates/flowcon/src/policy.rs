@@ -14,8 +14,8 @@
 //!   proportional shares on a fixed interval, with no real-time listeners,
 //!   no lists and no back-off (the related-work §6 comparison point).
 
-use flowcon_container::ContainerId;
 use flowcon_sim::time::{SimDuration, SimTime};
+use flowcon_sim::ContainerId;
 
 use crate::algorithm::run_algorithm1_into;
 use crate::config::FlowConConfig;

@@ -26,13 +26,11 @@
 //! `WorkerSim` is internal machinery: workers are built and run through
 //! [`crate::session::Session`] or [`crate::dense::run_headless_dense`].
 
-use flowcon_container::Workload;
 use flowcon_dl::models::ModelSpec;
 use flowcon_dl::workload::{JobRequest, WorkloadPlan};
 use flowcon_dl::TrainingJob;
 use flowcon_metrics::sojourn::SojournStats;
 use flowcon_metrics::stream::StreamStats;
-use flowcon_metrics::summary::RunSummary;
 use flowcon_sim::engine::{Scheduler, SimEngine, Simulation};
 use flowcon_sim::event::EventQueue;
 use flowcon_sim::rng::SimRng;
@@ -80,36 +78,6 @@ pub struct FailureInjection {
     pub at: SimTime,
     /// Exit code the container reports (e.g. 137 for OOM-kill).
     pub exit_code: i32,
-}
-
-/// A full-observability run result: a [`RunSummary`] plus the session's
-/// performance counters.
-///
-/// Sessions return a [`SessionResult`] from
-/// [`Session::run`](crate::session::Session::run); this repackaging
-/// (`RunResult::from`) is kept for callers that want the summary under
-/// its historical field name.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Everything the paper reports: completions, makespan, traces.
-    pub summary: RunSummary,
-    /// Total simulated events processed (performance accounting).
-    pub events_processed: u64,
-    /// Estimated scheduler overhead in CPU-seconds
-    /// (`algorithm_runs × NodeConfig::algo_cost_cpu_secs`).
-    pub scheduler_overhead_cpu_secs: f64,
-}
-
-impl From<SessionResult<RunSummary>> for RunResult {
-    /// Repackage a full-recorder session result (the cluster manager
-    /// translates between the two shapes).
-    fn from(result: SessionResult<RunSummary>) -> Self {
-        RunResult {
-            summary: result.output,
-            events_processed: result.events_processed,
-            scheduler_overhead_cpu_secs: result.scheduler_overhead_cpu_secs,
-        }
-    }
 }
 
 /// The recycled state of worker simulations: the node kernel's arena and
@@ -409,7 +377,7 @@ impl<'a, R: Recorder> WorkerSim<'a, R> {
             self.kernel.clear_exited();
             return;
         }
-        self.kernel.integrate(now, dt);
+        self.kernel.integrate(dt);
         self.kernel.reap_terminated();
     }
 
@@ -740,6 +708,7 @@ mod tests {
     use crate::config::FlowConConfig;
     use crate::policy::{FairSharePolicy, FlowConPolicy};
     use crate::session::{Session, SessionResult};
+    use flowcon_metrics::summary::RunSummary;
 
     fn node() -> NodeConfig {
         NodeConfig::default()

@@ -1,12 +1,12 @@
 //! Property-based tests for Algorithm 1, the list state machine and the
 //! listener — the invariants FlowCon's correctness rests on.
 
-use flowcon_container::ContainerId;
 use flowcon_core::algorithm::run_algorithm1;
 use flowcon_core::config::FlowConConfig;
 use flowcon_core::listener::Listener;
 use flowcon_core::lists::{ListKind, Lists};
 use flowcon_core::metric::GrowthMeasurement;
+use flowcon_sim::ContainerId;
 use flowcon_sim::ResourceVec;
 use proptest::prelude::*;
 

@@ -13,11 +13,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use flowcon_container::ContainerId;
 use flowcon_core::config::FlowConConfig;
 use flowcon_core::policy::{FlowConPolicy, ResourcePolicy, StaticEqualPolicy};
 use flowcon_core::GrowthMeasurement;
 use flowcon_sim::time::SimTime;
+use flowcon_sim::ContainerId;
 
 struct CountingAllocator;
 

@@ -9,7 +9,6 @@
 
 pub use flowcon_bench as bench;
 pub use flowcon_cluster as cluster;
-pub use flowcon_container as container;
 pub use flowcon_core as core;
 pub use flowcon_dl as dl;
 pub use flowcon_metrics as metrics;

@@ -59,7 +59,6 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
-use flowcon_container::{ContainerId, Workload, WorkloadStatus};
 use flowcon_core::metric::{progress_score, GrowthMeasurement};
 use flowcon_core::policy::ResourcePolicy;
 use flowcon_dl::TrainingJob;
@@ -67,6 +66,7 @@ use flowcon_metrics::summary::{CompletionRecord, RunSummary};
 use flowcon_sim::alloc::{waterfill_soft_into, AllocRequest, WaterfillScratch};
 use flowcon_sim::contention::ContentionModel;
 use flowcon_sim::time::SimTime;
+use flowcon_sim::ContainerId;
 
 use crate::governor::{AtomicF64, RefillMath, ShutdownSignal, TokenBucket};
 use crate::kernel::spin_for;
@@ -386,7 +386,6 @@ impl RtRuntime {
                     ledger.launch(),
                     rt_job.job,
                     virtual_now(now, dilation),
-                    start,
                     &done_tx,
                     &governor_targets,
                 );
@@ -426,7 +425,7 @@ impl RtRuntime {
                     // If the job finished on its final quantum the thread
                     // already pushed a completion — keep the container
                     // parked for that message instead of relaunching.
-                    let still_running = c.job.lock().status() == WorkloadStatus::Running;
+                    let still_running = c.job.lock().exit_code().is_none();
                     if still_running {
                         if let Some(RtChaos::Churn { down, .. }) = self.chaos {
                             churn_restart_at = Some(now + down);
@@ -440,7 +439,7 @@ impl RtRuntime {
             if churn_restart_at.is_some_and(|at| at <= now) {
                 churn_restart_at = None;
                 if let Some(dead) = downed.take() {
-                    let revived = self.relaunch(dead, start, &done_tx, &governor_targets);
+                    let revived = self.relaunch(dead, &done_tx, &governor_targets);
                     threads_spawned += 1;
                     chaos_restarts += 1;
                     active.insert(revived.id, revived);
@@ -505,15 +504,12 @@ impl RtRuntime {
                             let _ = h.join();
                             threads_joined += 1;
                         }
-                        let status = c.job.lock().status();
+                        let exit_code = c.job.lock().exit_code().unwrap_or(0);
                         summary.completions.push(CompletionRecord {
                             label: c.label.clone(),
                             arrival: c.arrival_at,
                             finished: virtual_now(now, dilation),
-                            exit_code: match status {
-                                WorkloadStatus::Failed(code) => code,
-                                _ => 0,
-                            },
+                            exit_code,
                         });
                         governor_targets
                             .lock()
@@ -594,12 +590,11 @@ impl RtRuntime {
         id: ContainerId,
         job: TrainingJob,
         arrival_at: SimTime,
-        start: Instant,
         done_tx: &Sender<ContainerId>,
         governor_targets: &GovernorTargets,
     ) -> RtContainer {
-        let label = Workload::label(&job).to_string();
-        let demand = Workload::demand(&job);
+        let label = job.label().to_string();
+        let demand = job.demand();
         let job = Arc::new(Mutex::new(job));
         let cpu_used = Arc::new(AtomicF64::new(0.0));
         self.spawn_thread(
@@ -609,7 +604,6 @@ impl RtRuntime {
             cpu_used,
             demand,
             arrival_at,
-            start,
             done_tx,
             governor_targets,
         )
@@ -619,7 +613,6 @@ impl RtRuntime {
     fn relaunch(
         &self,
         dead: RtContainer,
-        start: Instant,
         done_tx: &Sender<ContainerId>,
         governor_targets: &GovernorTargets,
     ) -> RtContainer {
@@ -630,7 +623,6 @@ impl RtRuntime {
             dead.cpu_used,
             dead.demand,
             dead.arrival_at,
-            start,
             done_tx,
             governor_targets,
         );
@@ -652,7 +644,6 @@ impl RtRuntime {
         cpu_used: Arc<AtomicF64>,
         demand: f64,
         arrival_at: SimTime,
-        start: Instant,
         done_tx: &Sender<ContainerId>,
         governor_targets: &GovernorTargets,
     ) -> RtContainer {
@@ -678,7 +669,7 @@ impl RtRuntime {
             thread::spawn(move || {
                 // Pure push loop: block on the bucket, burn, advance.  The
                 // only exit signals are a closed bucket (shutdown/kill) and
-                // the job leaving the Running state.
+                // the job reporting an exit code.
                 loop {
                     if !bucket.withdraw(quantum_us) {
                         return;
@@ -686,14 +677,13 @@ impl RtRuntime {
                     spin_for(quantum);
                     let finished = {
                         let mut j = job.lock();
-                        let now_virtual = virtual_now(start.elapsed(), dilation);
                         let virtual_cpu = quantum.as_secs_f64() * dilation;
                         // Tokens meter *allocated* CPU; contention taxes
                         // the useful progress extracted from it, exactly
                         // as the fluid node does.
-                        j.advance(now_virtual, virtual_cpu * eff.load());
+                        j.advance(virtual_cpu * eff.load());
                         cpu_used.fetch_add(virtual_cpu);
-                        j.status() != WorkloadStatus::Running
+                        j.exit_code().is_some()
                     };
                     if finished {
                         let _ = done_tx.send(id);
@@ -735,7 +725,7 @@ impl RtRuntime {
     ) {
         let mut measures = Vec::with_capacity(active.len());
         for c in active.values_mut() {
-            let eval_now = c.job.lock().eval(now);
+            let eval_now = c.job.lock().eval();
             let cpu_now = c.cpu_used.load();
             let dt = (now.as_secs_f64() - c.last_tick.as_secs_f64()).max(0.0);
             let growth = if dt > 1e-6 {

@@ -13,6 +13,9 @@
 //! * [`event`] — a priority event queue with FIFO tie-breaking.
 //! * [`engine`] — a minimal simulation driver ([`Simulation`] trait +
 //!   `run_until` loops) with run-away protection.
+//! * [`id`] — [`ContainerId`], the sequential `u32` container id rendered
+//!   like a short Docker hash; the raw id doubles as the node kernel's
+//!   arena index.
 //! * [`rng`] — a from-scratch, splittable xoshiro256++ RNG so every
 //!   experiment is reproducible from a single `u64` seed without external
 //!   dependencies.
@@ -40,6 +43,7 @@ pub mod alloc;
 pub mod contention;
 pub mod engine;
 pub mod event;
+pub mod id;
 pub mod resources;
 pub mod rng;
 pub mod stats;
@@ -50,6 +54,7 @@ pub use alloc::{waterfill, AllocRequest, Allocation};
 pub use contention::ContentionModel;
 pub use engine::{RunOutcome, SimEngine, Simulation};
 pub use event::EventQueue;
+pub use id::ContainerId;
 pub use resources::{ResourceKind, ResourceVec, RESOURCE_KINDS};
 pub use rng::SimRng;
 pub use stats::TimeWeighted;

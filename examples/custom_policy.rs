@@ -10,13 +10,13 @@
 
 use std::collections::BTreeMap;
 
-use flowcon_container::ContainerId;
 use flowcon_core::config::{FlowConConfig, NodeConfig};
 use flowcon_core::metric::GrowthMeasurement;
 use flowcon_core::policy::{FairSharePolicy, FlowConPolicy, ResourcePolicy};
 use flowcon_core::session::Session;
 use flowcon_dl::workload::WorkloadPlan;
 use flowcon_sim::time::{SimDuration, SimTime};
+use flowcon_sim::ContainerId;
 
 /// Oldest-job-first proportional shares, reconfigured every 15 s.
 struct SeniorityPolicy {
